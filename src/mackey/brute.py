@@ -22,15 +22,17 @@ Conventions, fixed globally:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     ONE,
+    ZERO,
     CancelToken,
     SparseMatrix,
     Subspace,
     Vec,
+    add_scaled,
     dump_matrix,
     nullspace,
     rank,
@@ -55,8 +57,9 @@ class ExplicitModule:
     """Finite-dimensional module with one action matrix per generator label.
 
     Matrices are built on first use and cached, since most computations only
-    touch the parabolic generators. Modules produced by restriction or
-    quotient reuse this class with a different builder.
+    touch the parabolic generators; so are the weight blocks and the
+    traceless parts derived from them. Modules produced by restriction
+    reuse this class with a different builder.
     """
 
     def __init__(self, dimension: int, rank_n: int,
@@ -70,6 +73,7 @@ class ExplicitModule:
         self.plain_slots = plain_slots
         self._builder = builder
         self._cache: dict[GeneratorLabel, SparseMatrix] = {}
+        self._derived: dict = {}
 
     def action(self, label: GeneratorLabel) -> SparseMatrix:
         i, j = label
@@ -190,31 +194,6 @@ def restrict_module(module: ExplicitModule, subspace: Subspace) -> ExplicitModul
     return ExplicitModule(subspace.dim, module.rank_n, build)
 
 
-def quotient_module(module: ExplicitModule, subspace: Subspace
-                    ) -> tuple[ExplicitModule, Callable[[Sequence[Fraction]], Vec]]:
-    """Quotient by an invariant subspace. Returns the quotient module and
-    the projection map onto its coordinates (the non-pivot coordinates of
-    the subspace's echelon basis).
-    """
-    free = [j for j in range(module.dimension) if j not in set(subspace.pivots)]
-
-    def project(v: Sequence[Fraction]) -> Vec:
-        reduced = subspace.reduce(v)
-        return [reduced[j] for j in free]
-
-    def build(label: GeneratorLabel) -> SparseMatrix:
-        ambient = module.action(label)
-        entries = []
-        for col, j in enumerate(free):
-            image = ambient.apply(unit_vec(module.dimension, j))
-            for row, c in enumerate(project(image)):
-                if c:
-                    entries.append((row, col, c))
-        return SparseMatrix.from_entries(len(free), entries)
-
-    return ExplicitModule(len(free), module.rank_n, build), project
-
-
 # ---------------------------------------------------------------------------
 # traceless tensors
 
@@ -235,7 +214,7 @@ def _contraction_blocks(words: Sequence[tuple[int, ...]], m: int, n: int,
         blocks.setdefault(_word_weight(word, m, n_rank), []).append(pos)
     for weight in sorted(blocks):
         members = blocks[weight]
-        rows: dict[tuple, dict[int, Fraction]] = {}
+        rows: dict[tuple, set[int]] = {}
         for local, pos in enumerate(members):
             word = words[pos]
             for a in range(m):
@@ -244,15 +223,26 @@ def _contraction_blocks(words: Sequence[tuple[int, ...]], m: int, n: int,
                         continue
                     remaining = tuple(word[s] for s in range(len(word))
                                       if s != a and s != m + b)
-                    key = (a, b, remaining)
-                    rows.setdefault(key, {})[local] = ONE
-        dense = []
-        for key in sorted(rows):
-            row = zero_vec(len(members))
-            for local, c in rows[key].items():
-                row[local] = c
-            dense.append(row)
-        yield members, dense
+                    rows.setdefault((a, b, remaining), set()).add(local)
+        yield members, [[ONE if k in rows[key] else ZERO for k in range(len(members))]
+                        for key in sorted(rows)]
+
+
+def _traceless_parts(module: ExplicitModule, cancel: CancelToken | None
+                     ) -> list[tuple[list[int], Subspace]]:
+    """The traceless subspace by weight block: each block's word positions
+    with its part in local coordinates, computed once per module."""
+    parts = module._derived.get("traceless")
+    if parts is None:
+        parts = []
+        for members, rows in _contraction_blocks(_require_words(module), module.star_slots,
+                                                 module.plain_slots, module.rank_n):
+            if cancel is not None:
+                cancel.check()
+            size = len(members)
+            parts.append((members, Subspace(size, nullspace(rows, size, cancel), cancel)))
+        module._derived["traceless"] = parts
+    return parts
 
 
 def traceless_subspace(module: ExplicitModule,
@@ -261,22 +251,7 @@ def traceless_subspace(module: ExplicitModule,
     module. Computed weight block by weight block, which also keeps the
     basis weight-homogeneous.
     """
-    words = _require_words(module)
-    m, n = module.star_slots, module.plain_slots
-    vectors: list[Vec] = []
-    for members, rows in _contraction_blocks(words, m, n, module.rank_n):
-        if cancel is not None:
-            cancel.check()
-        if not rows:
-            locals_basis = [unit_vec(len(members), k) for k in range(len(members))]
-        else:
-            locals_basis = nullspace(rows, len(members), cancel)
-        for loc in locals_basis:
-            v = zero_vec(module.dimension)
-            for k, pos in enumerate(members):
-                v[pos] = loc[k]
-            vectors.append(v)
-    return Subspace(module.dimension, vectors, cancel)
+    return Subspace.from_blocks(module.dimension, _traceless_parts(module, cancel))
 
 
 def traceless_dimension(n_rank: int, m: int, n: int,
@@ -295,7 +270,7 @@ def traceless_dimension(n_rank: int, m: int, n: int,
     for members, rows in _contraction_blocks(words, m, n, n_rank):
         if cancel is not None:
             cancel.check()
-        total += len(members) - (rank(rows, cancel) if rows else 0)
+        total += len(members) - rank(rows, cancel)
     return total
 
 
@@ -352,10 +327,7 @@ def _symmetrizer_terms(shape: Partition) -> list[tuple[tuple[int, ...], int]]:
     """
     size = shape.size
     tableau = _canonical_tableau(shape)
-    columns = []
-    if tableau:
-        for j in range(shape.parts[0]):
-            columns.append([row[j] for row in tableau if j < len(row)])
+    columns = [[row[j] for row in tableau if j < len(row)] for j in range(shape[0])]
     row_perms = _group_perms(tableau, size)
     col_perms = _group_perms(columns, size)
     terms = []
@@ -370,45 +342,50 @@ def _symmetrizer_terms(shape: Partition) -> list[tuple[tuple[int, ...], int]]:
 def young_project(module: ExplicitModule, lam: Partition, mu: Partition,
                   cancel: CancelToken | None = None) -> Subspace:
     """Image of the Young symmetrizer pair (lam on starred slots, mu on
-    plain slots) applied to the traceless subspace of the module.
+    plain slots) applied to the traceless subspace of the module. Slot
+    permutations keep the weight of a word, so the image is taken weight
+    block by weight block.
     """
     m, n = module.star_slots, module.plain_slots
     if lam.size != m or mu.size != n:
         raise ValueError(
             f"shape sizes ({lam.size}, {mu.size}) do not match slots ({m}, {n})")
-    base = traceless_subspace(module, cancel)
+    parts = _traceless_parts(module, cancel)
     star_terms = _symmetrizer_terms(lam)
     plain_terms = _symmetrizer_terms(mu)
     words = _require_words(module)
     index = {w: pos for pos, w in enumerate(words)}
-
-    # combined slot permutations acting on whole words, with total signs
-    combined: list[tuple[list[int], int]] = []
+    local = [0] * module.dimension
+    for members, _ in parts:
+        for k, pos in enumerate(members):
+            local[pos] = k
+    # combined slot permutations acting on whole words, with total signs,
+    # each as a table from word positions to positions within their blocks
+    perm_tables = []
     for sp, ssign in star_terms:
         for pp, psign in plain_terms:
-            perm = [sp[s] for s in range(m)] + [m + pp[s] for s in range(n)]
-            combined.append((perm, ssign * psign))
-    perm_tables = []
-    for perm, sign in combined:
-        table = [0] * module.dimension
-        for pos, word in enumerate(words):
-            moved = [0] * len(word)
-            for s, target in enumerate(perm):
-                moved[target] = word[s]
-            table[pos] = index[tuple(moved)]
-        perm_tables.append((table, sign))
-
-    images = []
-    for vector in base.basis:
+            perm = list(sp) + [m + s for s in pp]
+            table = []
+            for word in words:
+                moved = [0] * len(word)
+                for s, target in enumerate(perm):
+                    moved[target] = word[s]
+                table.append(local[index[tuple(moved)]])
+            perm_tables.append((table, ssign * psign))
+    projected = []
+    for members, part in parts:
         if cancel is not None:
             cancel.check()
-        out = zero_vec(module.dimension)
-        for table, sign in perm_tables:
-            for pos, c in enumerate(vector):
-                if c:
-                    out[table[pos]] += c if sign > 0 else -c
-        images.append(out)
-    return Subspace(module.dimension, images, cancel)
+        images = []
+        for vector in part.basis:
+            out = zero_vec(len(members))
+            for table, sign in perm_tables:
+                for k, c in enumerate(vector):
+                    if c:
+                        out[table[members[k]]] += c if sign > 0 else -c
+            images.append(out)
+        projected.append((members, Subspace(len(members), images, cancel)))
+    return Subspace.from_blocks(module.dimension, projected)
 
 
 # ---------------------------------------------------------------------------
@@ -455,22 +432,14 @@ class ParabolicData:
                 raise AssertionError(f"nilradical generator {label} does not square to zero")
         parabolic = set(self.labels)
         nil = set(self.nilradical_labels)
-        for x in nil:
-            for y in self.labels:
-                for label, _ in _bracket_label_combo(x, y):
-                    if label not in nil:
-                        raise AssertionError(
-                            f"bracket [{x}, {y}] leaves the nilradical")
-                for label, _ in _bracket_label_combo(y, x):
-                    if label not in nil:
-                        raise AssertionError(
-                            f"bracket [{y}, {x}] leaves the nilradical")
         for x in parabolic:
             for y in parabolic:
                 for label, _ in _bracket_label_combo(x, y):
                     if label not in parabolic:
                         raise AssertionError(
                             f"parabolic not closed under bracket at [{x}, {y}]")
+                    if (x in nil or y in nil) and label not in nil:
+                        raise AssertionError(f"bracket [{x}, {y}] leaves the nilradical")
 
     def __repr__(self) -> str:
         return f"ParabolicData(N={self.n_rank}, b={self.b})"
@@ -499,38 +468,150 @@ class Filtration:
         return iter(self.steps)
 
     def layer_dimensions(self) -> list[int]:
-        dims = []
-        previous = 0
-        for step in self.steps:
-            dims.append(step.dim - previous)
-            previous = step.dim
-        return dims
+        dims = [step.dim for step in self.steps]
+        return [upper - lower for lower, upper in zip([0] + dims, dims)]
 
     def __repr__(self) -> str:
         return f"Filtration(dims={[s.dim for s in self.steps]})"
 
 
-def _invariance_rows(module: ExplicitModule, mats: Sequence[SparseMatrix],
-                     base: Subspace) -> list[Vec]:
-    """Functionals cutting out {v : A v in base for all A}, via the
-    quotient coordinates of base.
+def _group_by_weight(dimension: int, diagonal: Sequence[SparseMatrix]) -> dict[tuple, list[int]]:
+    entries = [mat.diagonal_entries() for mat in diagonal]
+    groups: dict[tuple, list[int]] = {}
+    for pos in range(dimension):
+        groups.setdefault(tuple(d[pos] for d in entries), []).append(pos)
+    return groups
+
+
+class _WeightBlocks:
+    """Coordinate blocks of a module: the joint eigenspaces of those
+    diagonal generators (i, i) of an algebra that act diagonally on it, in
+    sorted weight order (one block when none does). As [x_ii, x_kl] =
+    (d_il - d_ik) x_kl, the generator (k, l) maps the block of weight w into
+    that of weight w + e_l - e_k, and a subspace invariant under the
+    diagonal generators is the direct sum of its block parts; so kernels,
+    socles and invariance checks run block by block in local coordinates.
     """
-    free = [j for j in range(module.dimension) if j not in set(base.pivots)]
-    reduced = list(zip(base.pivots, base.basis))
+
+    def __init__(self, module: ExplicitModule, diagonal: Sequence[GeneratorLabel]):
+        self.indices = [i for i, _ in diagonal if module.action((i, i)).is_diagonal()]
+        groups = _group_by_weight(module.dimension,
+                                  [module.action((i, i)) for i in self.indices])
+        self.weights = sorted(groups)
+        self.positions = [groups[w] for w in self.weights]
+        self.block_of = [0] * module.dimension
+        self.local = [0] * module.dimension
+        for b, members in enumerate(self.positions):
+            for k, pos in enumerate(members):
+                self.block_of[pos], self.local[pos] = b, k
+        self._number = {w: b for b, w in enumerate(self.weights)}
+        self._targets: dict[GeneratorLabel, list[int | None]] = {}
+
+    def zero(self) -> list[Subspace]:
+        return [Subspace(len(members)) for members in self.positions]
+
+    def targets(self, module: ExplicitModule, label: GeneratorLabel) -> list[int | None]:
+        """For each block, the block the generator maps it into (None when
+        that weight does not occur and the generator must kill the block).
+        Raises, once per label, when the action breaks the grading.
+        """
+        found = self._targets.get(label)
+        if found is None:
+            k, l = label
+            delta = [(i == l) - (i == k) for i in self.indices]
+            found = [self._number.get(tuple(x + d if d else x for x, d in zip(w, delta)))
+                     for w in self.weights]
+            for j, col in module.action(label).cols.items():
+                if any(self.block_of[i] != found[self.block_of[j]] for i in col):
+                    raise ValueError(f"generator {label} does not shift weights")
+            self._targets[label] = found
+        return found
+
+    def split(self, space: Subspace) -> list[Subspace]:
+        """Block parts of a subspace. Raises when an echelon row leaves its
+        block: the reduced echelon basis of a subspace invariant under the
+        diagonal generators consists of weight vectors.
+        """
+        rows: list[list[Vec]] = [[] for _ in self.positions]
+        for vector, pivot in zip(space.basis, space.pivots):
+            b = self.block_of[pivot]
+            local = [vector[pos] for pos in self.positions[b]]
+            # every nonzero entry of the row must lie in its pivot's block
+            if len(vector) - vector.count(ZERO) != len(local) - local.count(ZERO):
+                raise ValueError("filtration step is moved by a diagonal generator")
+            rows[b].append(local)
+        return [Subspace(len(members), part) for members, part in zip(self.positions, rows)]
+
+
+def _weight_blocks(module: ExplicitModule, labels: Iterable[GeneratorLabel]
+                   ) -> _WeightBlocks:
+    """The blocks of the algebra's diagonal generators, made once per module
+    and set of diagonal labels."""
+    diagonal = tuple(sorted({label for label in labels if label[0] == label[1]}))
+    blocks = module._derived.get(diagonal)
+    if blocks is None:
+        blocks = module._derived[diagonal] = _WeightBlocks(module, diagonal)
+    return blocks
+
+
+def _invariance_rows(dense: Sequence[Vec], base: Subspace) -> list[Vec]:
+    """Functionals cutting out {v : A v in base}, A given by its dense rows:
+    the coordinates of A v modulo base that are not pivots of base.
+    """
+    pivots = set(base.pivots)
     rows = []
-    for mat in mats:
-        dense = mat.to_dense_rows()
-        for q in free:
-            row = list(dense[q])
-            for pivot, bvec in reduced:
-                if bvec[q]:
-                    coeff = bvec[q]
-                    for col, val in enumerate(dense[pivot]):
-                        if val:
-                            row[col] -= coeff * val
-            if any(row):
-                rows.append(row)
+    for q, row in enumerate(dense):
+        if q in pivots:
+            continue
+        row = list(row)
+        for pivot, bvec in zip(base.pivots, base.basis):
+            if bvec[q]:
+                add_scaled(row, dense[pivot], -bvec[q])
+        if any(row):
+            rows.append(row)
     return rows
+
+
+def _kernel(module: ExplicitModule, blocks: _WeightBlocks,
+            labels: Sequence[GeneratorLabel], low: Sequence[Subspace],
+            high: Sequence[Subspace] | None = None,
+            cancel: CancelToken | None = None) -> list[Subspace]:
+    """Block parts of {v in high : A v in low for every generator A of the
+    labels}, high the whole module when None: the lift of the joint kernel
+    on high/low. Low must lie in high and be invariant under the labels, so
+    a block where low fills high is done.
+    """
+    actions = [(module.action(label), blocks.targets(module, label)) for label in labels]
+    parts = []
+    for b, members in enumerate(blocks.positions):
+        if cancel is not None:
+            cancel.check()
+        size = len(members)
+        upper = None if high is None else high[b]
+        if low[b].dim == (size if upper is None else upper.dim):
+            parts.append(low[b])
+            continue
+        rows = [] if upper is None else _invariance_rows(
+            [unit_vec(size, k) for k in range(size)], upper)
+        for mat, targets in actions:
+            u = targets[b]
+            if u is not None and low[u].dim < len(blocks.positions[u]):
+                dense = mat.to_dense_rows(blocks.positions[u], members)
+                rows.extend(_invariance_rows(dense, low[u]))
+        parts.append(Subspace(size, nullspace(rows, size, cancel), cancel))
+    return parts
+
+
+def _socle_steps(module: ExplicitModule, para: ParabolicData, blocks: _WeightBlocks,
+                 cancel: CancelToken | None) -> list[list[Subspace]]:
+    """Block parts of the socle filtration, after a zero step."""
+    steps, dims = [blocks.zero()], [0]
+    while dims[-1] < module.dimension:
+        steps.append(_kernel(module, blocks, para.nilradical_labels, steps[-1], None, cancel))
+        dims.append(sum(part.dim for part in steps[-1]))
+        if dims[-1] <= dims[-2]:
+            raise ValueError("module is not closed under the parabolic action")
+    return steps
 
 
 def socle_filtration_parabolic(module: ExplicitModule, para: ParabolicData,
@@ -541,41 +622,21 @@ def socle_filtration_parabolic(module: ExplicitModule, para: ParabolicData,
     the parabolic, so its joint kernel on each successive quotient is the
     socle of that quotient; the chain this produces is the socle filtration.
     """
-    nil_mats = [module.action(label) for label in para.nilradical_labels]
-    current = Subspace(module.dimension)
-    steps: list[Subspace] = []
-    while current.dim < module.dimension:
-        if cancel is not None:
-            cancel.check()
-        rows = _invariance_rows(module, nil_mats, current)
-        if not rows:
-            current = Subspace(module.dimension,
-                               [unit_vec(module.dimension, i)
-                                for i in range(module.dimension)])
-        else:
-            current = Subspace(module.dimension,
-                               nullspace(rows, module.dimension, cancel))
-        if steps and current.dim <= steps[-1].dim:
-            raise ValueError("module is not closed under the parabolic action")
-        steps.append(current)
-    return Filtration(steps)
+    blocks = _weight_blocks(module, para.labels)
+    return Filtration([Subspace.from_blocks(module.dimension, zip(blocks.positions, step))
+                       for step in _socle_steps(module, para, blocks, cancel)[1:]])
 
 
 def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
     """Binary-word grade filtration: step k spans the basis words with at
     most k starred tensorands outside the distinguished block.
     """
-    words = _require_words(module)
-    m = module.star_slots
-    grades = []
-    for word in words:
-        grades.append(sum(1 for s in range(m) if word[s] > para.b))
-    steps = []
-    for k in range(m + 1):
-        vectors = [unit_vec(module.dimension, pos)
-                   for pos, g in enumerate(grades) if g <= k]
-        steps.append(Subspace(module.dimension, vectors))
-    return Filtration(steps)
+    grades = [sum(1 for idx in word[:module.star_slots] if idx > para.b)
+              for word in _require_words(module)]
+    return Filtration([
+        Subspace(module.dimension, [unit_vec(module.dimension, pos)
+                                    for pos, g in enumerate(grades) if g <= k])
+        for k in range(module.star_slots + 1)])
 
 
 def weight_decompose(module: ExplicitModule, h_labels: Sequence[GeneratorLabel]
@@ -590,15 +651,9 @@ def weight_decompose(module: ExplicitModule, h_labels: Sequence[GeneratorLabel]
         if not mat.is_diagonal():
             raise ValueError(f"generator {label} does not act diagonally")
         mats.append(mat)
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if mats[a].commutator(mats[b]).cols:
-                raise ValueError("generators do not commute")
-    diagonals = [mat.diagonal_entries() for mat in mats]
-    groups: dict[tuple[Fraction, ...], list[int]] = {}
-    for pos in range(module.dimension):
-        weight = tuple(d[pos] for d in diagonals)
-        groups.setdefault(weight, []).append(pos)
+    if any(a.commutator(b).cols for a, b in combinations(mats, 2)):
+        raise ValueError("generators do not commute")
+    groups = _group_by_weight(module.dimension, mats)
     return {
         weight: Subspace(module.dimension,
                          [unit_vec(module.dimension, pos) for pos in groups[weight]])
@@ -638,70 +693,25 @@ def vandermonde_span(components: Sequence[Sequence[Fraction]],
 
 
 # ---------------------------------------------------------------------------
-# socles and essentiality
+# essentiality and counting
 
-def _cyclic_submodule(module: ExplicitModule, mats: Sequence[SparseMatrix],
-                      vector: Vec) -> Subspace:
-    """Span-closure of a vector under repeated generator application."""
-    span = Subspace(module.dimension, [vector])
-    frontier = [vector]
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for mat in mats:
-                w = mat.apply(v)
-                if not span.contains(w):
-                    span = Subspace(module.dimension, list(span.basis) + [w])
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return span
-
-
-def _generic_socle(module: ExplicitModule, gen_labels: Sequence[GeneratorLabel]
-                   ) -> Subspace:
-    """Sum of the minimal cyclic submodules generated by weight vectors.
-
-    Weight vectors are read off the diagonal generators present in the
-    algebra (all coordinates, when there are none). Exact for modules
-    whose socle is reached from coordinate weight vectors, which covers
-    the designed test cases; it is the prescribed finite-rank stand-in,
-    not a general socle algorithm.
-    """
-    mats = [module.action(label) for label in gen_labels]
-    diag = [m for m in mats if m.is_diagonal()]
-    if diag:
-        diagonals = [m.diagonal_entries() for m in diag]
-        groups: dict[tuple, list[int]] = {}
-        for pos in range(module.dimension):
-            groups.setdefault(tuple(d[pos] for d in diagonals), []).append(pos)
-        seeds = [unit_vec(module.dimension, pos)
-                 for block in groups.values() for pos in block]
-    else:
-        seeds = [unit_vec(module.dimension, pos) for pos in range(module.dimension)]
-    candidates: list[Subspace] = []
-    for seed in seeds:
-        sub = _cyclic_submodule(module, mats, seed)
-        if all(sub != c for c in candidates):
-            candidates.append(sub)
-    minimal = [c for c in candidates
-               if not any(d.dim < c.dim and c.contains_subspace(d)
-                          for d in candidates)]
-    socle = Subspace(module.dimension)
-    for c in minimal:
-        socle = socle.sum_with(c)
-    return socle
-
-
-def _socle(module: ExplicitModule, algebra) -> Subspace:
-    if isinstance(algebra, ParabolicData):
-        nil_mats = [module.action(label) for label in algebra.nilradical_labels]
-        rows = _invariance_rows(module, nil_mats, Subspace(module.dimension))
-        if not rows:
-            return Subspace(module.dimension,
-                            [unit_vec(module.dimension, i)
-                             for i in range(module.dimension)])
-        return Subspace(module.dimension, nullspace(rows, module.dimension))
-    return _generic_socle(module, list(algebra))
+def _is_invariant(module: ExplicitModule, blocks: _WeightBlocks,
+                  label: GeneratorLabel, parts: Sequence[Subspace]) -> bool:
+    """Whether the generator maps the subspace with these block parts into
+    itself."""
+    mat = module.action(label)
+    for b, u in enumerate(blocks.targets(module, label)):
+        if u is None or parts[u].dim == len(blocks.positions[u]):
+            continue
+        for vector in parts[b].basis:
+            image = zero_vec(len(blocks.positions[u]))
+            for pos, c in zip(blocks.positions[b], vector):
+                if c:
+                    for i, x in mat.cols.get(pos, {}).items():
+                        image[blocks.local[i]] += c * x
+            if not parts[u].contains(image):
+                return False
+    return True
 
 
 def is_essential_filtration(module: ExplicitModule, filtration: Filtration,
@@ -709,38 +719,32 @@ def is_essential_filtration(module: ExplicitModule, filtration: Filtration,
     """Whether every step of the filtration is essential in the next.
 
     Uses the finite-length criterion: a submodule is essential iff it
-    contains the socle, checked on each two-step quotient of the chain
-    (augmented with 0 at the bottom). The algebra is either ParabolicData
-    or an iterable of generator labels.
+    contains the socle, checked on each two-step quotient high/low of the
+    chain (augmented with 0 at the bottom). The algebra is ParabolicData,
+    whose nilradical n kills every simple module, so the socle of high/low
+    lifts to {v in high : n v in low}; or the zero algebra (no labels).
     """
     if isinstance(algebra, ParabolicData):
-        gen_labels = algebra.labels
+        labels, radical = algebra.labels, algebra.nilradical_labels
+    elif not list(algebra):
+        labels = radical = []
     else:
-        gen_labels = list(algebra)
-    mats = [module.action(label) for label in gen_labels]
+        raise ValueError("essentiality is decided over a parabolic or the zero algebra")
+    blocks = _weight_blocks(module, labels)
+    chain = [blocks.zero()]
     for step in filtration:
-        for mat in mats:
-            for vector in step.basis:
-                if not step.contains(mat.apply(vector)):
-                    raise ValueError("filtration step is not action-invariant")
-    top = filtration.steps[-1]
-    if top.dim != module.dimension:
+        parts = blocks.split(step)
+        if not all(_is_invariant(module, blocks, label, parts) for label in labels):
+            raise ValueError("filtration step is not action-invariant")
+        if step.dim > sum(part.dim for part in chain[-1]):
+            chain.append(parts)
+    if filtration.steps[-1].dim != module.dimension:
         raise ValueError("filtration does not end at the whole module")
-
-    chain = [Subspace(module.dimension)] + list(filtration.steps)
-    chain = [s for k, s in enumerate(chain) if k == 0 or s.dim > chain[k - 1].dim]
-    for p in range(len(chain) - 2):
+    for low, mid, high in zip(chain, chain[1:], chain[2:]):
         if cancel is not None:
             cancel.check()
-        low, mid, high = chain[p], chain[p + 1], chain[p + 2]
-        big, project = quotient_module(module, low)
-        high_q = Subspace(big.dimension, [project(v) for v in high.basis])
-        mid_q = Subspace(big.dimension, [project(v) for v in mid.basis])
-        layer = restrict_module(big, high_q)
-        socle = _socle(layer, algebra)
-        mid_in_layer = Subspace(high_q.dim,
-                                [high_q.coordinates(v) for v in mid_q.basis])
-        if not mid_in_layer.contains_subspace(socle):
+        socle = _kernel(module, blocks, radical, low, high, cancel)
+        if not all(m.contains_subspace(s) for m, s in zip(mid, socle)):
             return False
     return True
 
@@ -752,24 +756,11 @@ def constituent_count(module: ExplicitModule, para: ParabolicData,
     contributes the dimension of its joint kernel under the Levi raising
     generators (one highest weight line per constituent).
     """
-    filtration = socle_filtration_parabolic(module, para, cancel)
+    blocks = _weight_blocks(module, para.labels)
+    steps = _socle_steps(module, para, blocks, cancel)
     raising = para.levi_raising_labels()
-    total = 0
-    previous = Subspace(module.dimension)
-    for step in filtration:
-        if cancel is not None:
-            cancel.check()
-        big, project = quotient_module(module, previous)
-        layer_q = Subspace(big.dimension, [project(v) for v in step.basis])
-        layer = restrict_module(big, layer_q)
-        mats = [layer.action(label) for label in raising]
-        rows = [row for mat in mats for row in mat.to_dense_rows() if any(row)]
-        if rows:
-            total += len(nullspace(rows, layer.dimension, cancel))
-        else:
-            total += layer.dimension
-        previous = step
-    return total
+    return sum(k.dim - p.dim for low, high in zip(steps, steps[1:])
+               for k, p in zip(_kernel(module, blocks, raising, low, high, cancel), low))
 
 
 def dump_filtration(filtration: Filtration) -> str:

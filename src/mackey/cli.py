@@ -1,8 +1,9 @@
 """Command-line surface: socle filtrations, lengths, LR coefficients,
 coproducts, finite-rank dimensions, and the verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. JSON goes to
-stdout, diagnostics to stderr. The SOCLE_BUDGET environment variable
+Exit codes: 0 success, 1 verification failure (or a reader that closed the
+pipe before the output ended), 2 usage error. JSON goes to stdout,
+diagnostics to stderr. The SOCLE_BUDGET environment variable
 overrides the default brute-force size budget.
 """
 
@@ -209,10 +210,19 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "budget", None) is None and args.command == "verify":
         args.budget = _default_budget()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # The reader closed the pipe: stop quietly, with stdout pointed at
+        # the null device so that the flush at interpreter exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -132,6 +132,32 @@ class Subspace:
         self.ambient = ambient
         self.basis, self.pivots = rref(vectors, cancel)
 
+    @classmethod
+    def from_blocks(cls, ambient: int,
+                    parts: Iterable[tuple[Sequence[int], "Subspace"]]) -> "Subspace":
+        """Direct sum of subspaces of disjoint coordinate blocks, each part
+        given with the increasing ambient positions of its coordinates.
+
+        Placed in the ambient space and sorted by pivot, the echelon rows of
+        the parts already are the reduced echelon basis of the sum, so
+        nothing is eliminated again and the basis is the one the
+        constructor would compute.
+        """
+        placed = []
+        for positions, part in parts:
+            for row, pivot in zip(part.basis, part.pivots):
+                v = zero_vec(ambient)
+                for k, x in enumerate(row):
+                    if x:
+                        v[positions[k]] = x
+                placed.append((positions[pivot], v))
+        placed.sort(key=lambda item: item[0])
+        space = cls.__new__(cls)
+        space.ambient = ambient
+        space.pivots = [pivot for pivot, _ in placed]
+        space.basis = [v for _, v in placed]
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -281,12 +307,20 @@ class SparseMatrix:
             return False
         return self.cols == other.cols
 
-    def to_dense_rows(self) -> list[Vec]:
-        rows = [zero_vec(self.dim) for _ in range(self.dim)]
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
+    def to_dense_rows(self, rows: Sequence[int] | None = None,
+                      cols: Sequence[int] | None = None) -> list[Vec]:
+        """Dense rows of the matrix, or of its submatrix on the given row
+        and column positions (each in the order given)."""
+        rows = range(self.dim) if rows is None else rows
+        cols = range(self.dim) if cols is None else cols
+        at = {i: r for r, i in enumerate(rows)}
+        out = [zero_vec(len(cols)) for _ in rows]
+        for k, j in enumerate(cols):
+            for i, v in self.cols.get(j, {}).items():
+                r = at.get(i)
+                if r is not None:
+                    out[r][k] = v
+        return out
 
 
 def format_rational(x: Fraction) -> str:

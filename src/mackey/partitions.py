@@ -25,7 +25,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         ps = []
         for p in parts:
-            if not isinstance(p, int):
+            if isinstance(p, bool) or not isinstance(p, int):
                 raise TypeError(f"partition parts must be integers, got {p!r}")
             if p < 0:
                 raise ValueError(f"partition parts must be nonnegative, got {p}")

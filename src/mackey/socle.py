@@ -129,16 +129,25 @@ def tensor_length(m: int, n: int) -> int:
     Sum over how many starred slots stay in V_*: each binary word with m1
     slots outside contributes the Schur pieces of (V*/V_*)^{(x)m1} tensored
     with every simple constituent of the remaining mixed tensor power; all
-    such products are simple, so they count one each.
+    such products are simple, so they count one each. With the involution
+    numbers I(k), the sum of f_beta over the partitions beta of k, this is
+
+        sum_m1 C(m, m1) I(m1) sum_r C(m - m1, r) C(n, r) r! I(m - m1 - r) I(n - r),
+
+    the inner sum being the total multiplicity of decompose_mixed_tensor.
     """
     if m < 0 or n < 0:
         raise ValueError("tensor degrees must be nonnegative")
+    involutions = [1, 1]
+    for k in range(2, max(m, n) + 1):
+        involutions.append(involutions[-1] + (k - 1) * involutions[-2])
     total = 0
     for m1 in range(m + 1):
         m2 = m - m1
-        schur_pieces = sum(syt_count(lam) for lam in partitions_of(m1))
-        mixed_pieces = sum(mult for _, _, mult in decompose_mixed_tensor(m2, n))
-        total += comb(m, m1) * schur_pieces * mixed_pieces
+        mixed_pieces = sum(comb(m2, r) * comb(n, r) * factorial(r)
+                           * involutions[m2 - r] * involutions[n - r]
+                           for r in range(min(m2, n) + 1))
+        total += comb(m, m1) * involutions[m1] * mixed_pieces
     return total
 
 

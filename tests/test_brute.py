@@ -12,7 +12,6 @@ from mackey.brute import (
     grade_filtration,
     is_essential_filtration,
     parabolic,
-    quotient_module,
     restrict_module,
     socle_filtration_parabolic,
     traceless_dimension,
@@ -26,10 +25,13 @@ from mackey.linalg import (
     OperationCancelled,
     SparseMatrix,
     Subspace,
+    full_space,
+    nullspace,
     unit_vec,
     vec,
 )
-from mackey.partitions import EMPTY, Partition
+from mackey.partitions import EMPTY, Partition, partitions_up_to
+from mackey.verify import SOCLE_SHADOW_GRID
 
 P = Partition
 F = Fraction
@@ -341,17 +343,6 @@ def test_restrict_module_rejects_non_invariant_subspace():
         crooked.action((1, 2))
 
 
-def test_quotient_module_dimensions_and_action():
-    module = build_tensor_module(3, 1, 0)
-    socle = Subspace(3, [unit_vec(3, 0)])
-    quotient, project = quotient_module(module, socle)
-    assert quotient.dimension == 2
-    # the nilradical of (3,1) hits the socle, so it acts by zero downstairs
-    for label in parabolic(3, 1).nilradical_labels:
-        assert quotient.action(label).is_zero()
-    assert project(vec([5, 1, 2])) == vec([1, 2])
-
-
 def test_constituent_count_matches_length_formula():
     assert constituent_count(build_tensor_module(6, 2, 0), parabolic(6, 3)) == 6
     assert constituent_count(build_tensor_module(4, 1, 0), parabolic(4, 2)) == 2
@@ -401,3 +392,201 @@ def test_cancellation_interrupts_filtration():
         socle_filtration_parabolic(module, parabolic(3, 1), token)
     with pytest.raises(OperationCancelled):
         traceless_dimension(3, 1, 1, cancel=token)
+
+
+# --- the weight-graded engine against the dense algorithms -------------------
+# Reference copies of the ungraded algorithms the graded engine replaced: the
+# nilradical invariants over the whole module, the quotient-then-restrict
+# layers, and the essentiality check on those layers.
+
+def dense_invariance_rows(module, mats, base):
+    free = [j for j in range(module.dimension) if j not in set(base.pivots)]
+    rows = []
+    for mat in mats:
+        dense = mat.to_dense_rows()
+        for q in free:
+            row = list(dense[q])
+            for pivot, bvec in zip(base.pivots, base.basis):
+                if bvec[q]:
+                    for col, val in enumerate(dense[pivot]):
+                        if val:
+                            row[col] -= bvec[q] * val
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+def quotient_module(module, subspace):
+    """Quotient by an invariant subspace, with the projection onto its
+    coordinates (the non-pivot coordinates of the subspace's echelon basis).
+    """
+    free = [j for j in range(module.dimension) if j not in set(subspace.pivots)]
+
+    def project(v):
+        reduced = subspace.reduce(v)
+        return [reduced[j] for j in free]
+
+    def build(label):
+        ambient = module.action(label)
+        entries = []
+        for col, j in enumerate(free):
+            image = ambient.apply(unit_vec(module.dimension, j))
+            entries.extend((row, col, c) for row, c in enumerate(project(image)) if c)
+        return SparseMatrix.from_entries(len(free), entries)
+
+    return ExplicitModule(len(free), module.rank_n, build), project
+
+
+def test_quotient_module_dimensions_and_action():
+    module = build_tensor_module(3, 1, 0)
+    socle = Subspace(3, [unit_vec(3, 0)])
+    quotient, project = quotient_module(module, socle)
+    assert quotient.dimension == 2
+    # the nilradical of (3,1) hits the socle, so it acts by zero downstairs
+    for label in parabolic(3, 1).nilradical_labels:
+        assert quotient.action(label).is_zero()
+    assert project(vec([5, 1, 2])) == vec([1, 2])
+
+
+def dense_socle_filtration(module, para):
+    nil_mats = [module.action(label) for label in para.nilradical_labels]
+    current = Subspace(module.dimension)
+    steps = []
+    while current.dim < module.dimension:
+        rows = dense_invariance_rows(module, nil_mats, current)
+        current = Subspace(module.dimension, nullspace(rows, module.dimension))
+        steps.append(current)
+    return Filtration(steps)
+
+
+def dense_layer(module, low, high):
+    """high/low as a module, with the map from vectors of high to it."""
+    big, project = quotient_module(module, low)
+    high_q = Subspace(big.dimension, [project(v) for v in high.basis])
+    return restrict_module(big, high_q), lambda v: high_q.coordinates(project(v))
+
+
+def dense_constituent_count(module, para):
+    total = 0
+    previous = Subspace(module.dimension)
+    for step in dense_socle_filtration(module, para):
+        layer, _ = dense_layer(module, previous, step)
+        rows = [row for label in para.levi_raising_labels()
+                for row in layer.action(label).to_dense_rows() if any(row)]
+        total += len(nullspace(rows, layer.dimension))
+        previous = step
+    return total
+
+
+def dense_is_essential(module, filtration, para):
+    for step in filtration:
+        for label in para.labels:
+            for vector in step.basis:
+                if not step.contains(module.action(label).apply(vector)):
+                    raise ValueError("filtration step is not action-invariant")
+    chain = [Subspace(module.dimension)] + list(filtration)
+    chain = [s for k, s in enumerate(chain) if k == 0 or s.dim > chain[k - 1].dim]
+    for low, mid, high in zip(chain, chain[1:], chain[2:]):
+        layer, to_layer = dense_layer(module, low, high)
+        nil_mats = [layer.action(label) for label in para.nilradical_labels]
+        rows = dense_invariance_rows(layer, nil_mats, Subspace(layer.dimension))
+        socle = Subspace(layer.dimension, nullspace(rows, layer.dimension))
+        mid_in_layer = Subspace(layer.dimension, [to_layer(v) for v in mid.basis])
+        if not mid_in_layer.contains_subspace(socle):
+            return False
+    return True
+
+
+def assert_graded_matches_dense(module, para, filtrations=()):
+    graded = socle_filtration_parabolic(module, para)
+    assert dump_filtration(graded) == dump_filtration(dense_socle_filtration(module, para))
+    assert constituent_count(module, para) == dense_constituent_count(module, para)
+    for filtration in [graded, *filtrations]:
+        assert (is_essential_filtration(module, filtration, para)
+                == dense_is_essential(module, filtration, para))
+
+
+def conjugated(module, u, u_inverse):
+    """The module with every action matrix A replaced by u A u^-1."""
+    return ExplicitModule(module.dimension, module.rank_n,
+                          lambda label: u.compose(module.action(label)).compose(u_inverse))
+
+
+def test_graded_engine_matches_dense_on_the_socle_grid():
+    for n_rank, b in SOCLE_SHADOW_GRID:
+        para = parabolic(n_rank, b)
+        for m in range(1, min(b, n_rank - b, 3) + 1):
+            module = build_tensor_module(n_rank, m, 0)
+            extra = [grade_filtration(module, para)]
+            if m == 2:  # the symmetric square is a submodule but not essential
+                sym = young_project(module, P([2]), EMPTY)
+                extra.append(Filtration([sym, full_space(module.dimension)]))
+                assert not is_essential_filtration(module, extra[-1], para)
+            assert_graded_matches_dense(module, para, extra)
+
+
+def test_graded_engine_matches_dense_on_young_images():
+    for n_rank, b in SOCLE_SHADOW_GRID:
+        para = parabolic(n_rank, b)
+        for lam in partitions_up_to(min(b, n_rank - b)):
+            module = build_tensor_module(n_rank, lam.size, 0)
+            schur = restrict_module(module, young_project(module, lam, EMPTY))
+            assert_graded_matches_dense(schur, para)
+
+
+def test_graded_engine_matches_dense_on_a_mixed_module():
+    module = build_tensor_module(4, 1, 1)
+    para = parabolic(4, 2)
+    assert_graded_matches_dense(module, para, [grade_filtration(module, para)])
+
+
+def test_graded_engine_matches_dense_without_diagonal_generators():
+    # conjugating by a unipotent u mixes the weight spaces, so no (i, i)
+    # acts diagonally and the whole module is one block
+    module = build_tensor_module(4, 2, 0)
+    dim = module.dimension
+    shift = SparseMatrix(dim, {k + 1: {k: F(1)} for k in range(dim - 1)})
+    identity = SparseMatrix.diagonal([1] * dim)
+    u, u_inverse, term = identity.add(shift), identity, identity
+    for _ in range(dim):
+        term = term.compose(shift).scaled(-1)
+        u_inverse = u_inverse.add(term)
+    assert u.compose(u_inverse) == identity
+    twisted = conjugated(module, u, u_inverse)
+    assert not any(twisted.action((i, i)).is_diagonal() for i in range(1, 5))
+    para = parabolic(4, 2)
+    sym = young_project(module, P([2]), EMPTY)
+    moved = Filtration([Subspace(dim, [u.apply(v) for v in sym.basis]), full_space(dim)])
+    assert not is_essential_filtration(twisted, moved, para)
+    assert_graded_matches_dense(twisted, para, [moved])
+
+
+def test_generator_that_breaks_the_grading_is_rejected():
+    # (1, 1) acts as diag(1, 2), so (1, 2) must lower that weight by one,
+    # but here it fixes the first basis vector
+    mats = {(1, 1): SparseMatrix.diagonal([1, 2]), (1, 2): SparseMatrix(2, {0: {0: F(1)}})}
+    module = ExplicitModule(2, 2, lambda label: mats.get(label, SparseMatrix(2)))
+    with pytest.raises(ValueError, match="shift weights"):
+        socle_filtration_parabolic(module, parabolic(2, 1))
+
+
+def test_essentiality_needs_a_parabolic_or_the_zero_algebra():
+    module = build_tensor_module(2, 1, 0)
+    full = full_space(2)
+    with pytest.raises(ValueError):
+        is_essential_filtration(module, Filtration([full]), [(1, 2)])
+
+
+def test_cancellation_is_observed_by_every_graded_phase():
+    token = CancelToken()
+    token.cancel()
+    module = build_tensor_module(4, 2, 0)
+    para = parabolic(4, 2)
+    filtration = grade_filtration(module, para)
+    for phase, args in [(socle_filtration_parabolic, (module, para)),
+                        (constituent_count, (module, para)),
+                        (is_essential_filtration, (module, filtration, para)),
+                        (traceless_subspace, (build_tensor_module(3, 1, 1),)),
+                        (young_project, (build_tensor_module(3, 1, 1), P([1]), P([1])))]:
+        with pytest.raises(OperationCancelled):
+            phase(*args, cancel=token)

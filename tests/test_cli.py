@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from mackey.cli import canonical_json, main
+from mackey.socle import tensor_length
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,14 @@ def test_length_values(capsys):
     assert run_cli(capsys, "length", "--m", "1", "--n", "0")[1].strip() == "2"
     assert run_cli(capsys, "length", "--m", "0", "--n", "1")[1].strip() == "1"
     assert run_cli(capsys, "length", "--m", "1", "--n", "1")[1].strip() == "3"
+
+
+def test_length_at_large_degrees(capsys):
+    # the closed form answers at once where enumerating the mixed
+    # constituents runs out of memory
+    code, out, err = run_cli(capsys, "length", "--m", "60", "--n", "60")
+    assert code == 0 and err == ""
+    assert int(out) == tensor_length(60, 60) > 10 ** 100
 
 
 def test_simple_length(capsys):
@@ -135,3 +144,19 @@ def test_entry_point_runs_as_module():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip() == "1"
+
+
+def test_reader_closing_the_pipe_exits_quietly(tmp_path):
+    # like `mackey socle ... | head -1`: about 220 kB of output, so the
+    # writer meets the closed pipe after the first line is read
+    with open(tmp_path / "stderr", "wb") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mackey", "socle", "--lambda", "6,5,4,3,2,1", "--mu", "-"],
+            stdout=subprocess.PIPE, stderr=stderr)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert first.startswith(b"socle filtration of W(lambda=6,5,4,3,2,1")
+    err = (tmp_path / "stderr").read_bytes()
+    assert b"Traceback" not in err and err == b""
+    assert code in (0, 1, 2)

@@ -60,6 +60,24 @@ def test_subspace_sum_and_intersection():
     assert a.intersection(zero).dim == 0
 
 
+def test_subspace_from_blocks_is_the_echelon_basis_of_the_sum():
+    # blocks at positions {0, 2, 4} and {1, 3} of Q^5, interleaved
+    left = Subspace(3, [vec([2, 1, 0]), vec([0, 3, 6])])
+    right = Subspace(2, [vec([1, -1])])
+    summed = Subspace.from_blocks(5, [([0, 2, 4], left), ([1, 3], right)])
+    embedded = [vec([2, 0, 1, 0, 0]), vec([0, 0, 3, 0, 6]), vec([0, 1, 0, -1, 0])]
+    direct = Subspace(5, embedded)
+    assert summed == direct and summed.pivots == direct.pivots == [0, 1, 2]
+    assert Subspace.from_blocks(5, []) == Subspace(5)
+
+
+def test_dense_rows_of_a_submatrix():
+    m = SparseMatrix.from_entries(3, [(0, 1, F(2)), (2, 1, F(5)), (1, 2, F(-1))])
+    assert m.to_dense_rows() == [vec([0, 2, 0]), vec([0, 0, -1]), vec([0, 5, 0])]
+    assert m.to_dense_rows([2, 0], [1, 2]) == [vec([5, 0]), vec([2, 0])]
+    assert m.to_dense_rows([1], [0]) == [vec([0])]
+
+
 def test_sparse_matrix_apply_and_compose():
     m = SparseMatrix.from_entries(2, [(0, 1, F(2)), (1, 0, F(1))])
     assert m.apply(vec([1, 1])) == vec([2, 1])

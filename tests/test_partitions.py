@@ -42,6 +42,11 @@ def test_rejects_bad_parts():
         Partition([2, -1])
     with pytest.raises(TypeError):
         Partition([1.5])
+    # bool is a subclass of int, but True is not a part
+    with pytest.raises(TypeError):
+        Partition([True])
+    with pytest.raises(TypeError):
+        Partition([2, False])
 
 
 def test_immutable_and_hashable():

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from mackey.partitions import EMPTY, Partition, partitions_up_to
+from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to, syt_count
 from mackey.socle import (
     SimpleConstituent,
     SocleReport,
@@ -103,6 +103,20 @@ def test_tensor_length_values():
     assert tensor_length(0, 0) == 1
     assert tensor_length(0, 2) == 2
     assert tensor_length(0, 3) == 4
+
+
+def tensor_length_by_enumeration(m, n):
+    """The enumerated sum the closed form replaces: the Schur pieces of each
+    (V*/V_*)^(x)m1 times the total multiplicity of the mixed remainder."""
+    return sum(comb(m, m1) * sum(syt_count(lam) for lam in partitions_of(m1))
+               * sum(mult for _, _, mult in decompose_mixed_tensor(m - m1, n))
+               for m1 in range(m + 1))
+
+
+def test_tensor_length_closed_form_matches_enumeration():
+    for m in range(10):
+        for n in range(10):
+            assert tensor_length(m, n) == tensor_length_by_enumeration(m, n), (m, n)
 
 
 def test_filtration_words_examples():
