@@ -27,7 +27,6 @@ from .socle import (
     SimpleConstituent,
     SocleReport,
     decompose_mixed_tensor,
-    filtration_words,
     simple_length,
     socle_layers,
     tensor_length,
@@ -52,7 +51,6 @@ __all__ = [
     "dim_mixed",
     "dim_schur",
     "eval_schur",
-    "filtration_words",
     "format_partition",
     "homogeneous_component",
     "lr_coefficient",

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Sequence
 from .linalg import (
     ONE,
     ZERO,
-    CancelToken,
     SparseMatrix,
     Subspace,
     Vec,
@@ -228,8 +227,7 @@ def _contraction_blocks(words: Sequence[tuple[int, ...]], m: int, n: int,
                         for key in sorted(rows)]
 
 
-def _traceless_parts(module: ExplicitModule, cancel: CancelToken | None
-                     ) -> list[tuple[list[int], Subspace]]:
+def _traceless_parts(module: ExplicitModule) -> list[tuple[list[int], Subspace]]:
     """The traceless subspace by weight block: each block's word positions
     with its part in local coordinates, computed once per module."""
     parts = module._derived.get("traceless")
@@ -237,26 +235,22 @@ def _traceless_parts(module: ExplicitModule, cancel: CancelToken | None
         parts = []
         for members, rows in _contraction_blocks(_require_words(module), module.star_slots,
                                                  module.plain_slots, module.rank_n):
-            if cancel is not None:
-                cancel.check()
             size = len(members)
-            parts.append((members, Subspace(size, nullspace(rows, size, cancel), cancel)))
+            parts.append((members, Subspace(size, nullspace(rows, size))))
         module._derived["traceless"] = parts
     return parts
 
 
-def traceless_subspace(module: ExplicitModule,
-                       cancel: CancelToken | None = None) -> Subspace:
+def traceless_subspace(module: ExplicitModule) -> Subspace:
     """Joint kernel of all m*n contraction maps, as a subspace of the word
     module. Computed weight block by weight block, which also keeps the
     basis weight-homogeneous.
     """
-    return Subspace.from_blocks(module.dimension, _traceless_parts(module, cancel))
+    return Subspace.from_blocks(module.dimension, _traceless_parts(module))
 
 
 def traceless_dimension(n_rank: int, m: int, n: int,
-                        budget: int = DEFAULT_BUDGET,
-                        cancel: CancelToken | None = None) -> int:
+                        budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the traceless subspace of (C^N*)^(x)m (x) (C^N)^(x)n,
     by contraction-constraint ranks per weight block. Never materializes
     action matrices, so it scales to the full budget.
@@ -268,9 +262,7 @@ def traceless_dimension(n_rank: int, m: int, n: int,
     words = _tensor_words(n_rank, m, n)
     total = 0
     for members, rows in _contraction_blocks(words, m, n, n_rank):
-        if cancel is not None:
-            cancel.check()
-        total += len(members) - rank(rows, cancel)
+        total += len(members) - rank(rows)
     return total
 
 
@@ -339,8 +331,7 @@ def _symmetrizer_terms(shape: Partition) -> list[tuple[tuple[int, ...], int]]:
     return terms
 
 
-def young_project(module: ExplicitModule, lam: Partition, mu: Partition,
-                  cancel: CancelToken | None = None) -> Subspace:
+def young_project(module: ExplicitModule, lam: Partition, mu: Partition) -> Subspace:
     """Image of the Young symmetrizer pair (lam on starred slots, mu on
     plain slots) applied to the traceless subspace of the module. Slot
     permutations keep the weight of a word, so the image is taken weight
@@ -350,7 +341,7 @@ def young_project(module: ExplicitModule, lam: Partition, mu: Partition,
     if lam.size != m or mu.size != n:
         raise ValueError(
             f"shape sizes ({lam.size}, {mu.size}) do not match slots ({m}, {n})")
-    parts = _traceless_parts(module, cancel)
+    parts = _traceless_parts(module)
     star_terms = _symmetrizer_terms(lam)
     plain_terms = _symmetrizer_terms(mu)
     words = _require_words(module)
@@ -374,8 +365,6 @@ def young_project(module: ExplicitModule, lam: Partition, mu: Partition,
             perm_tables.append((table, ssign * psign))
     projected = []
     for members, part in parts:
-        if cancel is not None:
-            cancel.check()
         images = []
         for vector in part.basis:
             out = zero_vec(len(members))
@@ -384,7 +373,7 @@ def young_project(module: ExplicitModule, lam: Partition, mu: Partition,
                     if c:
                         out[table[members[k]]] += c if sign > 0 else -c
             images.append(out)
-        projected.append((members, Subspace(len(members), images, cancel)))
+        projected.append((members, Subspace(len(members), images)))
     return Subspace.from_blocks(module.dimension, projected)
 
 
@@ -574,8 +563,7 @@ def _invariance_rows(dense: Sequence[Vec], base: Subspace) -> list[Vec]:
 
 def _kernel(module: ExplicitModule, blocks: _WeightBlocks,
             labels: Sequence[GeneratorLabel], low: Sequence[Subspace],
-            high: Sequence[Subspace] | None = None,
-            cancel: CancelToken | None = None) -> list[Subspace]:
+            high: Sequence[Subspace] | None = None) -> list[Subspace]:
     """Block parts of {v in high : A v in low for every generator A of the
     labels}, high the whole module when None: the lift of the joint kernel
     on high/low. Low must lie in high and be invariant under the labels, so
@@ -584,8 +572,6 @@ def _kernel(module: ExplicitModule, blocks: _WeightBlocks,
     actions = [(module.action(label), blocks.targets(module, label)) for label in labels]
     parts = []
     for b, members in enumerate(blocks.positions):
-        if cancel is not None:
-            cancel.check()
         size = len(members)
         upper = None if high is None else high[b]
         if low[b].dim == (size if upper is None else upper.dim):
@@ -598,24 +584,23 @@ def _kernel(module: ExplicitModule, blocks: _WeightBlocks,
             if u is not None and low[u].dim < len(blocks.positions[u]):
                 dense = mat.to_dense_rows(blocks.positions[u], members)
                 rows.extend(_invariance_rows(dense, low[u]))
-        parts.append(Subspace(size, nullspace(rows, size, cancel), cancel))
+        parts.append(Subspace(size, nullspace(rows, size)))
     return parts
 
 
-def _socle_steps(module: ExplicitModule, para: ParabolicData, blocks: _WeightBlocks,
-                 cancel: CancelToken | None) -> list[list[Subspace]]:
+def _socle_steps(module: ExplicitModule, para: ParabolicData, blocks: _WeightBlocks
+                 ) -> list[list[Subspace]]:
     """Block parts of the socle filtration, after a zero step."""
     steps, dims = [blocks.zero()], [0]
     while dims[-1] < module.dimension:
-        steps.append(_kernel(module, blocks, para.nilradical_labels, steps[-1], None, cancel))
+        steps.append(_kernel(module, blocks, para.nilradical_labels, steps[-1]))
         dims.append(sum(part.dim for part in steps[-1]))
         if dims[-1] <= dims[-2]:
             raise ValueError("module is not closed under the parabolic action")
     return steps
 
 
-def socle_filtration_parabolic(module: ExplicitModule, para: ParabolicData,
-                               cancel: CancelToken | None = None) -> Filtration:
+def socle_filtration_parabolic(module: ExplicitModule, para: ParabolicData) -> Filtration:
     """Iterated nilradical-invariants filtration.
 
     The nilradical annihilates every finite-dimensional simple module of
@@ -624,7 +609,7 @@ def socle_filtration_parabolic(module: ExplicitModule, para: ParabolicData,
     """
     blocks = _weight_blocks(module, para.labels)
     return Filtration([Subspace.from_blocks(module.dimension, zip(blocks.positions, step))
-                       for step in _socle_steps(module, para, blocks, cancel)[1:]])
+                       for step in _socle_steps(module, para, blocks)[1:]])
 
 
 def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
@@ -714,8 +699,7 @@ def _is_invariant(module: ExplicitModule, blocks: _WeightBlocks,
     return True
 
 
-def is_essential_filtration(module: ExplicitModule, filtration: Filtration,
-                            algebra, cancel: CancelToken | None = None) -> bool:
+def is_essential_filtration(module: ExplicitModule, filtration: Filtration, algebra) -> bool:
     """Whether every step of the filtration is essential in the next.
 
     Uses the finite-length criterion: a submodule is essential iff it
@@ -741,26 +725,23 @@ def is_essential_filtration(module: ExplicitModule, filtration: Filtration,
     if filtration.steps[-1].dim != module.dimension:
         raise ValueError("filtration does not end at the whole module")
     for low, mid, high in zip(chain, chain[1:], chain[2:]):
-        if cancel is not None:
-            cancel.check()
-        socle = _kernel(module, blocks, radical, low, high, cancel)
+        socle = _kernel(module, blocks, radical, low, high)
         if not all(m.contains_subspace(s) for m, s in zip(mid, socle)):
             return False
     return True
 
 
-def constituent_count(module: ExplicitModule, para: ParabolicData,
-                      cancel: CancelToken | None = None) -> int:
+def constituent_count(module: ExplicitModule, para: ParabolicData) -> int:
     """Number of simple constituents of the module over the parabolic:
     socle-filtration layers are semisimple Levi modules, so each layer
     contributes the dimension of its joint kernel under the Levi raising
     generators (one highest weight line per constituent).
     """
     blocks = _weight_blocks(module, para.labels)
-    steps = _socle_steps(module, para, blocks, cancel)
+    steps = _socle_steps(module, para, blocks)
     raising = para.levi_raising_labels()
     return sum(k.dim - p.dim for low, high in zip(steps, steps[1:])
-               for k, p in zip(_kernel(module, blocks, raising, low, high, cancel), low))
+               for k, p in zip(_kernel(module, blocks, raising, low, high), low))
 
 
 def dump_filtration(filtration: Filtration) -> str:

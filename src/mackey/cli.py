@@ -2,7 +2,8 @@
 coproducts, finite-rank dimensions, and the verification suites.
 
 Exit codes: 0 success, 1 verification failure (or a reader that closed the
-pipe before the output ended), 2 usage error. JSON goes to stdout,
+pipe before the output ended), 2 usage error, 130 interrupted (Ctrl-C, with
+one line on stderr and no traceback). JSON goes to stdout,
 diagnostics to stderr. The SOCLE_BUDGET environment variable
 overrides the default brute-force size budget.
 """
@@ -12,18 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
 import sys
 
 from . import verify
 from .brute import DEFAULT_BUDGET, BudgetExceededError
 from .finrank import MixedWeight, dim_mixed
-from .linalg import CancelToken, OperationCancelled
 from .partitions import Partition, format_partition, parse_partition
 from .socle import SocleReport, simple_length, socle_layers, tensor_length
 from .symfunc import coproduct, lr_coefficient
 
 USAGE_ERROR = 2
+INTERRUPTED = 130
 
 
 def canonical_json(data) -> str:
@@ -129,20 +129,11 @@ def cmd_dim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cancel = CancelToken()
-    previous = signal.getsignal(signal.SIGINT)
-    signal.signal(signal.SIGINT, lambda *_: cancel.cancel())
     try:
-        results = verify.run_suite(args.suite, budget=args.budget,
-                                   seed=args.seed, cancel=cancel)
-    except OperationCancelled:
-        print("verification cancelled", file=sys.stderr)
-        return 130
+        results = verify.run_suite(args.suite, budget=args.budget, seed=args.seed)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        signal.signal(signal.SIGINT, previous)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -205,17 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is None and args.command == "verify":
-        args.budget = _default_budget()
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "budget", None) is None and args.command == "verify":
+            args.budget = _default_budget()
         code = args.func(args)
         sys.stdout.flush()
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return INTERRUPTED
     except BrokenPipeError:
         # The reader closed the pipe: stop quietly, with stdout pointed at
         # the null device so that the flush at interpreter exit cannot fail.

@@ -21,35 +21,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class OperationCancelled(Exception):
-    """Raised when a long computation observes a cancelled token."""
-
-
-class CancelToken:
-    """Cooperative cancellation flag threaded through long-running ranks."""
-
-    __slots__ = ("_cancelled",)
-
-    def __init__(self):
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def check(self) -> None:
-        if self._cancelled:
-            raise OperationCancelled("computation cancelled")
-
-
-def _check(cancel: CancelToken | None) -> None:
-    if cancel is not None:
-        cancel.check()
-
-
 def zero_vec(n: int) -> Vec:
     return [ZERO] * n
 
@@ -73,13 +44,11 @@ def add_scaled(target: Vec, source: Sequence[Fraction], c: Fraction) -> None:
             target[i] += c * s
 
 
-def rref(rows: Iterable[Sequence[Fraction]], cancel: CancelToken | None = None
-         ) -> tuple[list[Vec], list[int]]:
+def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
     echelon: list[Vec] = []
     pivots: list[int] = []
     for row in rows:
-        _check(cancel)
         r = list(row)
         for e, p in zip(echelon, pivots):
             if r[p]:
@@ -100,14 +69,13 @@ def rref(rows: Iterable[Sequence[Fraction]], cancel: CancelToken | None = None
     return echelon, pivots
 
 
-def rank(rows: Iterable[Sequence[Fraction]], cancel: CancelToken | None = None) -> int:
-    return len(rref(rows, cancel)[0])
+def rank(rows: Iterable[Sequence[Fraction]]) -> int:
+    return len(rref(rows)[0])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int,
-              cancel: CancelToken | None = None) -> list[Vec]:
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     """Basis of {x : R x = 0} where the rows of R are the given functionals."""
-    echelon, pivots = rref(rows, cancel)
+    echelon, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
     for j in range(ncols):
@@ -127,10 +95,9 @@ class Subspace:
 
     __slots__ = ("ambient", "basis", "pivots")
 
-    def __init__(self, ambient: int, vectors: Iterable[Sequence[Fraction]] = (),
-                 cancel: CancelToken | None = None):
+    def __init__(self, ambient: int, vectors: Iterable[Sequence[Fraction]] = ()):
         self.ambient = ambient
-        self.basis, self.pivots = rref(vectors, cancel)
+        self.basis, self.pivots = rref(vectors)
 
     @classmethod
     def from_blocks(cls, ambient: int,

@@ -7,6 +7,7 @@ partitions are immutable and normalized on construction.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from math import factorial
 from typing import Iterable, Iterator
@@ -165,22 +166,25 @@ def partitions_up_to(n: int) -> Iterator[Partition]:
         yield from partitions_of(k)
 
 
+_PART_TEXT = re.compile(r"[1-9][0-9]*")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the CLI/text form: comma-separated decreasing positive integers,
-    with "-" denoting the empty partition.
+    with "-" denoting the empty partition. Each part is written in ASCII
+    digits without a sign, underscores or leading zeros, so the text reads
+    back as format_partition of the result, up to whitespace.
     """
     text = text.strip()
     if text == "-":
         return Partition()
     if not text:
         raise ValueError("empty partition text (use '-' for the empty partition)")
-    try:
-        parts = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed partition {text!r}") from None
-    if any(p < 1 for p in parts):
-        raise ValueError(f"partition parts must be positive in {text!r}")
-    return Partition(parts)
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(_PART_TEXT.fullmatch(tok) for tok in tokens):
+        raise ValueError(f"malformed partition {text!r}: parts are positive integers "
+                         "in ASCII digits, without leading zeros")
+    return Partition([int(tok) for tok in tokens])
 
 
 def format_partition(lam: Partition) -> str:

@@ -149,26 +149,3 @@ def tensor_length(m: int, n: int) -> int:
                            for r in range(min(m2, n) + 1))
         total += comb(m, m1) * involutions[m1] * mixed_pieces
     return total
-
-
-def filtration_words(m: int, k: int) -> list[tuple[int, ...]]:
-    """Binary words r of length m with |r| <= k, in lex order: r_i = 1 marks
-    a tensorand taken in V* rather than V_*. These index the span defining
-    step k of the binary-word filtration.
-    """
-    if k > m:
-        raise ValueError(f"filtration step {k} exceeds word length {m}")
-    if k < 0 or m < 0:
-        raise ValueError("arguments must be nonnegative")
-    out = []
-
-    def extend(word: tuple[int, ...], ones: int) -> None:
-        if len(word) == m:
-            out.append(word)
-            return
-        extend(word + (0,), ones)
-        if ones < k:
-            extend(word + (1,), ones + 1)
-
-    extend((), 0)
-    return out

@@ -27,8 +27,7 @@ class SchurExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Partition, int] | Iterable[tuple[Partition, int]] = ()):
-        data = dict(terms) if not isinstance(terms, dict) else dict(terms)
-        self.terms = {lam: c for lam, c in data.items() if c}
+        self.terms = {lam: c for lam, c in dict(terms).items() if c}
 
     def coefficient(self, lam: Partition) -> int:
         return self.terms.get(lam, 0)
@@ -61,8 +60,7 @@ class TensorSchurExpr:
 
     def __init__(self, terms: dict[tuple[Partition, Partition], int]
                  | Iterable[tuple[tuple[Partition, Partition], int]] = ()):
-        data = dict(terms) if not isinstance(terms, dict) else dict(terms)
-        self.terms = {key: c for key, c in data.items() if c}
+        self.terms = {key: c for key, c in dict(terms).items() if c}
 
     def coefficient(self, mu: Partition, nu: Partition) -> int:
         return self.terms.get((mu, nu), 0)

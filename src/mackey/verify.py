@@ -15,7 +15,7 @@ from math import comb, factorial
 
 from . import brute, finrank, socle, symfunc
 from .brute import DEFAULT_BUDGET
-from .linalg import CancelToken, SparseMatrix, Subspace, unit_vec, vec
+from .linalg import SparseMatrix, Subspace, unit_vec, vec
 from .partitions import EMPTY, Partition, dim_schur, partitions_of, partitions_up_to, syt_count
 
 DEFAULT_SEED = 20259
@@ -188,14 +188,13 @@ def _dim_mixed(beta: Partition, gamma: Partition, n: int) -> int:
     return finrank.dim_mixed(finrank.MixedWeight(beta, gamma, n))
 
 
-def _young_weyl_failures(budget: int, cancel: CancelToken | None
-                         ) -> tuple[int, list[str]]:
+def _young_weyl_failures(budget: int) -> tuple[int, list[str]]:
     cases = 0
     failures = []
     for n_rank in range(1, 5):
         for lam in partitions_up_to(3):
             module = brute.build_tensor_module(n_rank, lam.size, 0, budget)
-            got = brute.young_project(module, lam, EMPTY, cancel).dim
+            got = brute.young_project(module, lam, EMPTY).dim
             cases += 1
             if got != dim_schur(lam, n_rank):
                 failures.append(f"N={n_rank}, lambda={lam}: {got}")
@@ -208,7 +207,7 @@ def _young_weyl_failures(budget: int, cancel: CancelToken | None
                             continue
                         module = brute.build_tensor_module(
                             n_rank, lam.size, mu.size, budget)
-                        got = brute.young_project(module, lam, mu, cancel).dim
+                        got = brute.young_project(module, lam, mu).dim
                         cases += 1
                         if got != _dim_mixed(lam, mu, n_rank):
                             failures.append(
@@ -230,8 +229,7 @@ def socle_shadow_layer_dims(lam: Partition, n_rank: int, b: int) -> list[int]:
     return expected
 
 
-def _socle_shadow_failures(budget: int, cancel: CancelToken | None
-                           ) -> tuple[int, list[str]]:
+def _socle_shadow_failures(budget: int) -> tuple[int, list[str]]:
     cases = 0
     failures = []
     for n_rank, b in SOCLE_SHADOW_GRID:
@@ -239,9 +237,9 @@ def _socle_shadow_failures(budget: int, cancel: CancelToken | None
         for lam in partitions_up_to(min(b, n_rank - b)):
             cases += 1
             module = brute.build_tensor_module(n_rank, lam.size, 0, budget)
-            projected = brute.young_project(module, lam, EMPTY, cancel)
+            projected = brute.young_project(module, lam, EMPTY)
             schur_module = brute.restrict_module(module, projected)
-            filtration = brute.socle_filtration_parabolic(schur_module, para, cancel)
+            filtration = brute.socle_filtration_parabolic(schur_module, para)
             got = filtration.layer_dimensions()
             expected = socle_shadow_layer_dims(lam, n_rank, b)
             if got != expected:
@@ -250,8 +248,7 @@ def _socle_shadow_failures(budget: int, cancel: CancelToken | None
     return cases, failures
 
 
-def _essential_failures(budget: int, seed: int, cancel: CancelToken | None
-                        ) -> tuple[int, list[str]]:
+def _essential_failures(budget: int, seed: int) -> tuple[int, list[str]]:
     cases = 0
     failures = []
     for n_rank, b in SOCLE_SHADOW_GRID:
@@ -260,7 +257,7 @@ def _essential_failures(budget: int, seed: int, cancel: CancelToken | None
             cases += 1
             module = brute.build_tensor_module(n_rank, m, 0, budget)
             filtration = brute.grade_filtration(module, para)
-            if not brute.is_essential_filtration(module, filtration, para, cancel):
+            if not brute.is_essential_filtration(module, filtration, para):
                 failures.append(f"grade filtration N={n_rank}, b={b}, m={m}")
     # designed negative case: a line inside trivial + trivial over the
     # zero algebra is not essential (the socle is everything)
@@ -270,13 +267,12 @@ def _essential_failures(budget: int, seed: int, cancel: CancelToken | None
     line = Subspace(2, [vec([rng.randint(1, 5), rng.randint(1, 5)])])
     full = Subspace(2, [unit_vec(2, 0), unit_vec(2, 1)])
     bad = brute.Filtration([line, full])
-    if brute.is_essential_filtration(zero_module, bad, [], cancel):
+    if brute.is_essential_filtration(zero_module, bad, []):
         failures.append("trivial + trivial negative case reported essential")
     return cases, failures
 
 
-def mixed_oracle_report(p: int, q: int, budget: int = DEFAULT_BUDGET,
-                        cancel: CancelToken | None = None) -> list[str]:
+def mixed_oracle_report(p: int, q: int, budget: int = DEFAULT_BUDGET) -> list[str]:
     """Mismatches between decompose_mixed_tensor(p, q) and the finite-rank
     contraction-kernel bookkeeping at rank n = p + q + 1. Empty means the
     multiplicity formula is confirmed at this degree.
@@ -290,7 +286,7 @@ def mixed_oracle_report(p: int, q: int, budget: int = DEFAULT_BUDGET,
         problems.append(f"dimension sum {dim_sum} != {n}^{p + q}")
     traceless = {}
     for r in range(min(p, q) + 1):
-        traceless[r] = brute.traceless_dimension(n, p - r, q - r, budget, cancel)
+        traceless[r] = brute.traceless_dimension(n, p - r, q - r, budget)
     pairing_sum = sum(comb(p, r) * comb(q, r) * factorial(r) * traceless[r]
                       for r in traceless)
     if pairing_sum != n ** (p + q):
@@ -306,22 +302,20 @@ def mixed_oracle_report(p: int, q: int, budget: int = DEFAULT_BUDGET,
     return problems
 
 
-def _mixed_oracle_failures(budget: int, cancel: CancelToken | None,
-                           max_degree: int = 5) -> tuple[int, list[str]]:
+def _mixed_oracle_failures(budget: int, max_degree: int = 5) -> tuple[int, list[str]]:
     cases = 0
     failures = []
     for total in range(max_degree + 1):
         for p in range(total + 1):
             q = total - p
             cases += 1
-            problems = mixed_oracle_report(p, q, budget, cancel)
+            problems = mixed_oracle_report(p, q, budget)
             if problems:
                 failures.append(f"(p,q)=({p},{q}): {problems[0]}")
     return cases, failures
 
 
-def _length_failures(budget: int, cancel: CancelToken | None
-                     ) -> tuple[int, list[str]]:
+def _length_failures(budget: int) -> tuple[int, list[str]]:
     cases = 0
     failures = []
     for n_rank, b in SOCLE_SHADOW_GRID:
@@ -329,7 +323,7 @@ def _length_failures(budget: int, cancel: CancelToken | None
         for m in range(min(b, n_rank - b, 3) + 1):
             cases += 1
             module = brute.build_tensor_module(n_rank, m, 0, budget)
-            got = brute.constituent_count(module, para, cancel)
+            got = brute.constituent_count(module, para)
             expected = socle.tensor_length(m, 0)
             if got != expected:
                 failures.append(f"N={n_rank}, b={b}, m={m}: {got} != {expected}")
@@ -349,37 +343,36 @@ def _vandermonde_failures() -> tuple[int, list[str]]:
     return cases, failures
 
 
-def brute_suite(budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
-                cancel: CancelToken | None = None) -> list[CheckResult]:
+def brute_suite(budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     results = []
     results.append(_result("Young projector rank vs Weyl dimension",
-                           *_young_weyl_failures(budget, cancel)))
+                           *_young_weyl_failures(budget)))
     results.append(_result("finite-rank socle filtration vs branching",
-                           *_socle_shadow_failures(budget, cancel)))
+                           *_socle_shadow_failures(budget)))
     results.append(_result("grade filtration essentiality",
-                           *_essential_failures(budget, seed, cancel)))
+                           *_essential_failures(budget, seed)))
     results.append(_result("mixed tensor multiplicities vs contraction kernels",
-                           *_mixed_oracle_failures(budget, cancel)))
+                           *_mixed_oracle_failures(budget)))
     results.append(_result("parabolic constituent counts vs length formula",
-                           *_length_failures(budget, cancel)))
+                           *_length_failures(budget)))
     results.append(_result("Vandermonde spans", *_vandermonde_failures()))
     return results
 
 
 SUITES = {
-    "hopf": lambda budget, seed, cancel: hopf_suite(seed),
-    "branching": lambda budget, seed, cancel: branching_suite(),
-    "brute": lambda budget, seed, cancel: brute_suite(budget, seed, cancel),
+    "hopf": lambda budget, seed: hopf_suite(seed),
+    "branching": lambda budget, seed: branching_suite(),
+    "brute": brute_suite,
 }
 
 
-def run_suite(name: str, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
-              cancel: CancelToken | None = None) -> list[CheckResult]:
+def run_suite(name: str, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
+              ) -> list[CheckResult]:
     if name == "all":
         results = []
         for key in ("hopf", "branching", "brute"):
-            results.extend(SUITES[key](budget, seed, cancel))
+            results.extend(SUITES[key](budget, seed))
         return results
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](budget, seed, cancel)
+    return SUITES[name](budget, seed)

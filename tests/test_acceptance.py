@@ -18,11 +18,12 @@ from mackey.brute import (
     socle_filtration_parabolic,
     young_project,
 )
-from mackey.linalg import SparseMatrix, Subspace, nullspace, unit_vec, vec
+from mackey.linalg import SparseMatrix, Subspace, unit_vec, vec
 from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from mackey.socle import socle_layers, tensor_length
 from mackey.verify import SOCLE_SHADOW_GRID, socle_shadow_layer_dims
 
+from gl_weights import gl_highest_weight_count
 from oracles import lr_via_monomials
 
 P = Partition
@@ -166,16 +167,6 @@ def _involution_counts(k_max: int) -> list[int]:
     return counts[:k_max + 1]
 
 
-def _gl_highest_weight_count(n_rank: int, q: int) -> int:
-    """Simple summands of the semisimple gl(N)-module (C^N)^(x)q: the
-    dimension of the joint kernel of the simple root actions (i, i+1).
-    """
-    module = build_tensor_module(n_rank, 0, q)
-    rows = [row for i in range(1, n_rank)
-            for row in module.action((i, i + 1)).to_dense_rows() if any(row)]
-    return len(nullspace(rows, module.dimension))
-
-
 def test_criterion_8_length_values():
     start = time.time()
     failures = []
@@ -188,7 +179,7 @@ def test_criterion_8_length_values():
         got = tensor_length(0, q)
         if got != expected:
             failures.append(f"tensor_length(0,{q}) = {got} != {expected}")
-        brute_count = _gl_highest_weight_count(4, q)
+        brute_count = gl_highest_weight_count(4, 0, q)
         if brute_count != expected:
             failures.append(
                 f"gl(4) highest weight vectors of V^(x){q}: {brute_count} != {expected}")
@@ -208,7 +199,7 @@ def test_criterion_8_length_values():
 
 def test_criterion_9_young_weyl_agreement():
     start = time.time()
-    _, failures = verify._young_weyl_failures(brute.DEFAULT_BUDGET, None)
+    _, failures = verify._young_weyl_failures(brute.DEFAULT_BUDGET)
     _finish(9, "Young projector ranks vs Weyl dimensions on the N<=4 grid",
             failures, time.time() - start, 120.0)
 

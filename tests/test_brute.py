@@ -21,8 +21,6 @@ from mackey.brute import (
     young_project,
 )
 from mackey.linalg import (
-    CancelToken,
-    OperationCancelled,
     SparseMatrix,
     Subspace,
     full_space,
@@ -32,6 +30,8 @@ from mackey.linalg import (
 )
 from mackey.partitions import EMPTY, Partition, partitions_up_to
 from mackey.verify import SOCLE_SHADOW_GRID
+
+from gl_weights import gl_highest_weight_count
 
 P = Partition
 F = Fraction
@@ -348,27 +348,13 @@ def test_constituent_count_matches_length_formula():
     assert constituent_count(build_tensor_module(4, 1, 0), parabolic(4, 2)) == 2
 
 
-def gl_constituents(n_rank, m):
-    """Constituents of (C^N*)^(x)m over all of gl(N): highest weight vectors,
-    counted as the joint kernel of the simple raising generators.
-    """
-    from mackey.linalg import nullspace
-    module = build_tensor_module(n_rank, m, 0)
-    rows = []
-    for i in range(1, n_rank):
-        rows.extend(r for r in module.action((i, i + 1)).to_dense_rows() if any(r))
-    if not rows:
-        return module.dimension
-    return len(nullspace(rows, module.dimension))
-
-
 def test_tensor_length_degree_four_against_semisimple_counts():
     # the parabolic at (8, 4) is past the dense-linear-algebra budget, but
     # the grade-layer counts it would produce factor through gl(4) highest
     # weight counts on each block, which are affordable directly
     from math import comb
     from mackey.socle import tensor_length
-    counts = {j: gl_constituents(4, j) for j in range(5)}
+    counts = {j: gl_highest_weight_count(4, j, 0) for j in range(5)}
     assert counts == {0: 1, 1: 1, 2: 2, 3: 4, 4: 10}
     expected = sum(comb(4, k) * counts[k] * counts[4 - k] for k in range(5))
     assert tensor_length(4, 0) == expected == 76
@@ -382,16 +368,6 @@ def test_dump_filtration_format():
     assert lines[0] == "# step 0 dim 1"
     assert lines[1] == "1/1 0/1 0/1"
     assert "# step 1 dim 3" in lines
-
-
-def test_cancellation_interrupts_filtration():
-    token = CancelToken()
-    token.cancel()
-    module = build_tensor_module(3, 2, 0)
-    with pytest.raises(OperationCancelled):
-        socle_filtration_parabolic(module, parabolic(3, 1), token)
-    with pytest.raises(OperationCancelled):
-        traceless_dimension(3, 1, 1, cancel=token)
 
 
 # --- the weight-graded engine against the dense algorithms -------------------
@@ -575,18 +551,3 @@ def test_essentiality_needs_a_parabolic_or_the_zero_algebra():
     full = full_space(2)
     with pytest.raises(ValueError):
         is_essential_filtration(module, Filtration([full]), [(1, 2)])
-
-
-def test_cancellation_is_observed_by_every_graded_phase():
-    token = CancelToken()
-    token.cancel()
-    module = build_tensor_module(4, 2, 0)
-    para = parabolic(4, 2)
-    filtration = grade_filtration(module, para)
-    for phase, args in [(socle_filtration_parabolic, (module, para)),
-                        (constituent_count, (module, para)),
-                        (is_essential_filtration, (module, filtration, para)),
-                        (traceless_subspace, (build_tensor_module(3, 1, 1),)),
-                        (young_project, (build_tensor_module(3, 1, 1), P([1]), P([1])))]:
-        with pytest.raises(OperationCancelled):
-            phase(*args, cancel=token)

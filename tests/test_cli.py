@@ -1,9 +1,12 @@
 import json
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
+from mackey import verify
 from mackey.cli import canonical_json, main
 from mackey.socle import tensor_length
 
@@ -160,3 +163,33 @@ def test_reader_closing_the_pipe_exits_quietly(tmp_path):
     err = (tmp_path / "stderr").read_bytes()
     assert b"Traceback" not in err and err == b""
     assert code in (0, 1, 2)
+
+
+def test_interrupted_verify_exits_130(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(verify, "run_suite", interrupted)
+    code, out, err = run_cli(capsys, "verify", "all")
+    assert code == 130 and out == ""
+    assert err.splitlines() == ["interrupted"]
+
+
+def test_ctrl_c_stops_a_long_command_with_one_line():
+    # the coproduct of the staircase of size 36 runs for minutes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mackey", "coproduct", "8,7,6,5,4,3,2,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        time.sleep(1)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        start = time.monotonic()
+        out, err = proc.communicate(timeout=10)
+        elapsed = time.monotonic() - start
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert out == b""
+    assert err.decode().splitlines() == ["interrupted"]
+    assert elapsed < 5

@@ -3,8 +3,6 @@ from fractions import Fraction
 import pytest
 
 from mackey.linalg import (
-    CancelToken,
-    OperationCancelled,
     SparseMatrix,
     Subspace,
     dump_matrix,
@@ -12,7 +10,6 @@ from mackey.linalg import (
     nullspace,
     rank,
     rref,
-    unit_vec,
     vec,
 )
 
@@ -106,13 +103,3 @@ def test_dump_format_is_p_over_q():
     assert format_rational(F(-2, 5)) == "-2/5"
     text = dump_matrix([vec([1, F(1, 2)]), vec([0, -3])])
     assert text == "1/1 1/2\n0/1 -3/1"
-
-
-def test_cancel_token():
-    token = CancelToken()
-    token.check()
-    token.cancel()
-    with pytest.raises(OperationCancelled):
-        token.check()
-    with pytest.raises(OperationCancelled):
-        rref([unit_vec(2, 0)], cancel=token)

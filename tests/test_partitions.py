@@ -134,9 +134,26 @@ def test_text_form_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "1,2", "a", "2,,1", "0"]:
+    # the second row: underscores, signs, leading zeros, non-ASCII digits
+    # and inner spaces, most of which int() accepts
+    for bad in ["", "1,2", "a", "2,,1", "0",
+                "5_4", "+6", "09", "\u0663", "3,01", "1 1", "-1"]:
         with pytest.raises(ValueError):
             parse_partition(bad)
+
+
+# near misses of the text form: digits (ASCII and not), signs, separators
+PARTITION_ALPHABET = "0123456789,-+_ \t\n\u0663\u00b2\uff11\u3000\xa0"
+
+
+@given(st.one_of(st.text(PARTITION_ALPHABET, max_size=12), st.text(max_size=12)))
+def test_parse_is_strict(text):
+    """Every text is rejected or reads back as itself, up to whitespace."""
+    try:
+        lam = parse_partition(text)
+    except ValueError:
+        return
+    assert format_partition(lam) == "".join(text.split())
 
 
 def test_sort_key_orders_by_degree_then_lex():

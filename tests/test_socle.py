@@ -2,14 +2,12 @@ import json
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
 
 from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to, syt_count
 from mackey.socle import (
     SimpleConstituent,
     SocleReport,
     decompose_mixed_tensor,
-    filtration_words,
     simple_length,
     socle_layers,
     tensor_length,
@@ -117,33 +115,6 @@ def test_tensor_length_closed_form_matches_enumeration():
     for m in range(10):
         for n in range(10):
             assert tensor_length(m, n) == tensor_length_by_enumeration(m, n), (m, n)
-
-
-def test_filtration_words_examples():
-    assert filtration_words(1, 0) == [(0,)]
-    assert filtration_words(2, 1) == [(0, 0), (0, 1), (1, 0)]
-    assert len(filtration_words(3, 3)) == 8
-    assert filtration_words(0, 0) == [()]
-
-
-def test_filtration_words_rejects_bad_step():
-    with pytest.raises(ValueError):
-        filtration_words(1, 2)
-    with pytest.raises(ValueError):
-        filtration_words(2, -1)
-
-
-@given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))
-def test_filtration_words_count(m, k):
-    if k > m:
-        with pytest.raises(ValueError):
-            filtration_words(m, k)
-        return
-    words = filtration_words(m, k)
-    assert len(words) == sum(comb(m, i) for i in range(k + 1))
-    assert len(set(words)) == len(words)
-    assert all(len(w) == m and sum(w) <= k for w in words)
-    assert words == sorted(words)
 
 
 def test_socle_report_json_round_trip():
