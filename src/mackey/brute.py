@@ -22,7 +22,7 @@ Conventions, fixed globally:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
@@ -92,18 +92,6 @@ class ExplicitModule:
         return f"ExplicitModule(dim={self.dimension}, rank={self.rank_n})"
 
 
-def _bracket_label_combo(x: GeneratorLabel, y: GeneratorLabel
-                         ) -> list[tuple[GeneratorLabel, int]]:
-    """[x, y] expanded in generator labels: d_il x_kj - d_jk x_il."""
-    (i, j), (k, l) = x, y
-    out = []
-    if i == l:
-        out.append(((k, j), 1))
-    if j == k:
-        out.append(((i, l), -1))
-    return out
-
-
 def _tensor_words(n_rank: int, m: int, n: int) -> list[tuple[int, ...]]:
     return list(product(range(1, n_rank + 1), repeat=m + n))
 
@@ -148,26 +136,7 @@ def build_tensor_module(n_rank: int, m: int, n: int,
                         entries.append((index[tgt], col, ONE))
         return SparseMatrix.from_entries(dim, entries)
 
-    module = ExplicitModule(dim, n_rank, build, labels, m, n)
-    _spot_check_brackets(module)
-    return module
-
-
-def _spot_check_brackets(module: ExplicitModule) -> None:
-    """Verify [A_x, A_y] = A_[x,y] on a few generator pairs."""
-    n = module.rank_n
-    pairs = [((1, 1), (1, 1))]
-    if n >= 2:
-        pairs = [((1, 2), (2, 1)), ((1, 1), (1, 2)), ((1, 2), (2, 2))]
-    if n >= 3:
-        pairs.append(((1, 2), (2, 3)))
-    for x, y in pairs:
-        lhs = module.action(x).commutator(module.action(y))
-        rhs = SparseMatrix(module.dimension)
-        for label, sign in _bracket_label_combo(x, y):
-            rhs = rhs.add(module.action(label).scaled(sign))
-        if lhs != rhs:
-            raise AssertionError(f"action violates bracket on {x}, {y}")
+    return ExplicitModule(dim, n_rank, build, labels, m, n)
 
 
 def restrict_module(module: ExplicitModule, subspace: Subspace) -> ExplicitModule:
@@ -382,9 +351,7 @@ def young_project(module: ExplicitModule, lam: Partition, mu: Partition) -> Subs
 
 class ParabolicData:
     """Stabilizer of the distinguished b-dimensional block of the dual,
-    split into Levi and nilradical generator labels. Construction checks
-    that nilradical matrices square to zero and that the nilradical is an
-    ideal of the parabolic under the label bracket.
+    split into Levi and nilradical generator labels.
     """
 
     def __init__(self, n_rank: int, b: int):
@@ -397,38 +364,16 @@ class ParabolicData:
             if (i <= b) == (j <= b)]
         self.nilradical_labels = [
             (i, j) for i in range(1, b + 1) for j in range(b + 1, n_rank + 1)]
-        self._validate()
 
     @property
     def labels(self) -> list[GeneratorLabel]:
         return self.levi_labels + self.nilradical_labels
-
-    def defining_matrix(self, label: GeneratorLabel) -> SparseMatrix:
-        """The label as an operator on C^N (moves e_i to e_j)."""
-        i, j = label
-        return SparseMatrix(self.n_rank, {i - 1: {j - 1: ONE}})
 
     def levi_raising_labels(self) -> list[GeneratorLabel]:
         """Simple positive generators of the Levi blocks, for counting
         constituents of semisimple Levi modules by highest weight vectors.
         """
         return [(i, i + 1) for i in range(1, self.n_rank) if i != self.b]
-
-    def _validate(self) -> None:
-        for label in self.nilradical_labels:
-            mat = self.defining_matrix(label)
-            if not mat.compose(mat).is_zero():
-                raise AssertionError(f"nilradical generator {label} does not square to zero")
-        parabolic = set(self.labels)
-        nil = set(self.nilradical_labels)
-        for x in parabolic:
-            for y in parabolic:
-                for label, _ in _bracket_label_combo(x, y):
-                    if label not in parabolic:
-                        raise AssertionError(
-                            f"parabolic not closed under bracket at [{x}, {y}]")
-                    if (x in nil or y in nil) and label not in nil:
-                        raise AssertionError(f"bracket [{x}, {y}] leaves the nilradical")
 
     def __repr__(self) -> str:
         return f"ParabolicData(N={self.n_rank}, b={self.b})"
@@ -626,9 +571,9 @@ def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
 
 def weight_decompose(module: ExplicitModule, h_labels: Sequence[GeneratorLabel]
                      ) -> dict[tuple[Fraction, ...], Subspace]:
-    """Simultaneous eigenspace decomposition under commuting diagonal
-    generators. The action matrices must literally be diagonal (true for
-    diagonal labels on word modules); anything else is rejected.
+    """Simultaneous eigenspace decomposition under diagonal generators.
+    The action matrices must literally be diagonal (true for diagonal labels
+    on word modules), so they commute; anything else is rejected.
     """
     mats = []
     for label in h_labels:
@@ -636,8 +581,6 @@ def weight_decompose(module: ExplicitModule, h_labels: Sequence[GeneratorLabel]
         if not mat.is_diagonal():
             raise ValueError(f"generator {label} does not act diagonally")
         mats.append(mat)
-    if any(a.commutator(b).cols for a, b in combinations(mats, 2)):
-        raise ValueError("generators do not commute")
     groups = _group_by_weight(module.dimension, mats)
     return {
         weight: Subspace(module.dimension,

@@ -2,10 +2,10 @@
 coproducts, finite-rank dimensions, and the verification suites.
 
 Exit codes: 0 success, 1 verification failure (or a reader that closed the
-pipe before the output ended), 2 usage error, 130 interrupted (Ctrl-C, with
-one line on stderr and no traceback). JSON goes to stdout,
-diagnostics to stderr. The SOCLE_BUDGET environment variable
-overrides the default brute-force size budget.
+pipe before the output ended), 2 usage error or an input too deep for the
+recursion limit, 130 interrupted (Ctrl-C, with one line on stderr and no
+traceback). JSON goes to stdout, diagnostics to stderr. The SOCLE_BUDGET
+environment variable overrides the default brute-force size budget.
 """
 
 from __future__ import annotations
@@ -205,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:
+        print("error: input too deep: recursion limit exceeded", file=sys.stderr)
         return USAGE_ERROR
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

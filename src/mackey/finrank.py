@@ -5,6 +5,7 @@ cross-checks of the tableau combinatorics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .partitions import Partition, dim_schur
 from .symfunc import coproduct
@@ -41,14 +42,27 @@ def dim_mixed(w: MixedWeight) -> int:
     Exact integer arithmetic over the positive roots of gl(n); the final
     division is asserted exact, which catches weight-construction mistakes
     immediately. Symmetric under swapping beta and gamma (the dual module).
+    A pair of zero rows of the highest weight contributes 1, and a row of
+    weight h against the zeros at distances lo..hi contributes
+    prod_{d=lo}^{hi} (h + d) / d = C(h + hi, h) / C(h + lo - 1, h), so the
+    time does not depend on the rank.
     """
-    hw = w.highest_weight()
+    s, t = len(w.beta), len(w.gamma)
+    zeros = w.n - s - t
+    rows = list(enumerate(w.beta.parts))
+    rows += [(w.n - 1 - k, -g) for k, g in enumerate(w.gamma.parts)]
     num = 1
     den = 1
-    for i in range(w.n):
-        for j in range(i + 1, w.n):
-            num *= hw[i] - hw[j] + j - i
-            den *= j - i
+    for i, a in rows:
+        for j, c in rows:
+            if i < j:
+                num *= a - c + j - i
+                den *= j - i
+        # distances from row i to the zero rows s..s+zeros-1
+        lo, hi = (s - i, s + zeros - 1 - i) if a > 0 else (i - s - zeros + 1, i - s)
+        h = abs(a)
+        num *= comb(h + hi, h)
+        den *= comb(h + lo - 1, h)
     assert num % den == 0, "Weyl dimension formula produced a non-integer"
     return num // den
 

@@ -154,9 +154,6 @@ class Subspace:
             raise ValueError("vector not in subspace")
         return coords
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
-
     def intersection(self, other: "Subspace") -> "Subspace":
         """Standard kernel construction on stacked coefficient vectors."""
         a, b = self.basis, other.basis
@@ -228,46 +225,11 @@ class SparseMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.cols.get(j, {}).get(i, ZERO)
 
-    def is_zero(self) -> bool:
-        return not self.cols
-
     def is_diagonal(self) -> bool:
         return all(set(col) <= {j} for j, col in self.cols.items())
 
     def diagonal_entries(self) -> Vec:
         return [self.entry(j, j) for j in range(self.dim)]
-
-    def compose(self, other: "SparseMatrix") -> "SparseMatrix":
-        """self @ other."""
-        cols: dict[int, dict[int, Fraction]] = {}
-        for j, col in other.cols.items():
-            acc: dict[int, Fraction] = {}
-            for k, v in col.items():
-                for i, m in self.cols.get(k, {}).items():
-                    acc[i] = acc.get(i, ZERO) + m * v
-            acc = {i: v for i, v in acc.items() if v}
-            if acc:
-                cols[j] = acc
-        return SparseMatrix(self.dim, cols)
-
-    def scaled(self, c) -> "SparseMatrix":
-        c = Fraction(c)
-        return SparseMatrix(self.dim, {j: {i: c * v for i, v in col.items()}
-                                       for j, col in self.cols.items()})
-
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
-        cols = {j: dict(col) for j, col in self.cols.items()}
-        for j, col in other.cols.items():
-            acc = cols.setdefault(j, {})
-            for i, v in col.items():
-                acc[i] = acc.get(i, ZERO) + v
-        return SparseMatrix(self.dim, cols)
-
-    def sub(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.add(other.scaled(-1))
-
-    def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.compose(other).sub(other.compose(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix) or self.dim != other.dim:

@@ -94,6 +94,17 @@ def test_coproduct_json(capsys):
 def test_dim(capsys):
     code, out, _ = run_cli(capsys, "dim", "--rank", "3", "--lambda", "1", "--mu", "1")
     assert code == 0 and out.strip() == "8"
+    # the time does not grow with the rank
+    code, out, _ = run_cli(capsys, "dim", "--rank", str(10**18), "--lambda", "1", "--mu", "-")
+    assert code == 0 and out.strip() == str(10**18)
+
+
+def test_too_deep_input_exits_2_with_one_line(capsys):
+    # the LR enumerator recurses once per cell of lambda
+    code, out, err = run_cli(capsys, "lr", "1100", "-", "1100")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_dim_rank_too_small(capsys):

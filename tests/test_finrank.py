@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from mackey.finrank import MixedWeight, branching_identity_check, dim_mixed
@@ -40,6 +42,36 @@ def test_dim_mixed_swap_symmetry():
                         if len(beta) + len(gamma) > n:
                             continue
                         assert dm(beta, gamma, n) == dm(gamma, beta, n)
+
+
+def weyl_product(beta, gamma, n):
+    """Plain Weyl dimension formula over every pair of rows."""
+    zeros = n - len(beta) - len(gamma)
+    hw = list(beta.parts) + [0] * zeros + [-g for g in reversed(gamma.parts)]
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= hw[i] - hw[j] + j - i
+            den *= j - i
+    return num // den
+
+
+def test_dim_mixed_matches_the_plain_weyl_product():
+    cases = 0
+    for beta in partitions_up_to(6):
+        for gamma in partitions_up_to(6 - beta.size):
+            for n in range(max(1, len(beta) + len(gamma)), 9):
+                assert dm(beta, gamma, n) == weyl_product(beta, gamma, n), (beta, gamma, n)
+                cases += 1
+    assert cases == 810
+
+
+def test_dim_mixed_time_does_not_grow_with_the_rank():
+    start = time.monotonic()
+    assert dm(P([1]), EMPTY, 10**9) == 10**9
+    assert dm(EMPTY, P([1, 1]), 10**9) == 10**9 * (10**9 - 1) // 2
+    assert dm(P([1]), P([1]), 10**9) == 10**18 - 1  # adjoint of sl(10^9)
+    assert time.monotonic() - start < 1
 
 
 def test_rank_too_small_is_an_error():
