@@ -22,7 +22,7 @@ Conventions, fixed globally:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, chain, combinations, permutations, product
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
@@ -33,6 +33,7 @@ from .linalg import (
     Vec,
     add_scaled,
     dump_matrix,
+    full_space,
     nullspace,
     rank,
     unit_vec,
@@ -57,7 +58,7 @@ class ExplicitModule:
 
     Matrices are built on first use and cached, since most computations only
     touch the parabolic generators; so are the weight blocks and the
-    traceless parts derived from them. Modules produced by restriction
+    traceless subspace built on them. Modules produced by restriction
     reuse this class with a different builder.
     """
 
@@ -92,15 +93,21 @@ class ExplicitModule:
         return f"ExplicitModule(dim={self.dimension}, rank={self.rank_n})"
 
 
-def _tensor_words(n_rank: int, m: int, n: int) -> list[tuple[int, ...]]:
+def _tensor_words(n_rank: int, m: int, n: int, budget: int) -> list[tuple[int, ...]]:
+    """The basis words of (C^N*)^(x)m (x) (C^N)^(x)n, once the rank, the
+    degrees and the budget are checked."""
+    if n_rank < 1 or m < 0 or n < 0:
+        raise ValueError("rank must be positive, degrees nonnegative")
+    if n_rank ** (m + n) > budget:
+        raise BudgetExceededError(f"module dimension {n_rank}^{m + n} = "
+                                  f"{n_rank ** (m + n)} exceeds budget {budget}")
     return list(product(range(1, n_rank + 1), repeat=m + n))
 
 
-def _word_weight(word: tuple[int, ...], m: int, n_rank: int) -> tuple[int, ...]:
-    w = [0] * n_rank
-    for pos, idx in enumerate(word):
-        w[idx - 1] += -1 if pos < m else 1
-    return tuple(w)
+def _word_weight(word: tuple[int, ...], m: int, indices: Iterable[int]) -> tuple[int, ...]:
+    """The eigenvalues of the generators (i, i) of these indices on a basis
+    word with m starred slots: each plain slot i counts 1, each starred -1."""
+    return tuple(word[m:].count(i) - word[:m].count(i) for i in indices)
 
 
 def build_tensor_module(n_rank: int, m: int, n: int,
@@ -108,13 +115,8 @@ def build_tensor_module(n_rank: int, m: int, n: int,
     """The gl(N)-module (C^N*)^(x)m (x) (C^N)^(x)n on word basis, with the
     slot-wise derivation action of the generator labels.
     """
-    if n_rank < 1 or m < 0 or n < 0:
-        raise ValueError("rank must be positive, degrees nonnegative")
-    dim = n_rank ** (m + n)
-    if dim > budget:
-        raise BudgetExceededError(
-            f"module dimension {n_rank}^{m + n} = {dim} exceeds budget {budget}")
-    words = _tensor_words(n_rank, m, n)
+    words = _tensor_words(n_rank, m, n, budget)
+    dim = len(words)
     index = {w: pos for pos, w in enumerate(words)}
     labels: tuple[WordLabel, ...] = tuple(
         tuple((idx, pos < m) for pos, idx in enumerate(word)) for word in words)
@@ -171,51 +173,40 @@ def _require_words(module: ExplicitModule) -> list[tuple[int, ...]]:
     return [tuple(idx for idx, _ in label) for label in module.labels]
 
 
-def _contraction_blocks(words: Sequence[tuple[int, ...]], m: int, n: int,
-                        n_rank: int) -> Iterable[tuple[list[int], list[Vec]]]:
-    """Group word positions by diagonal weight and emit, per block, the
-    contraction constraints restricted to that block. Contractions preserve
-    weight, so the joint kernel splits over these blocks.
+def _contraction_rows(words: Sequence[tuple[int, ...]], m: int, n: int,
+                      members: Sequence[int]) -> list[Vec]:
+    """The contraction constraints restricted to one weight block of word
+    positions. Contractions preserve weight, so the joint kernel splits over
+    the blocks.
     """
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for pos, word in enumerate(words):
-        blocks.setdefault(_word_weight(word, m, n_rank), []).append(pos)
-    for weight in sorted(blocks):
-        members = blocks[weight]
-        rows: dict[tuple, set[int]] = {}
-        for local, pos in enumerate(members):
-            word = words[pos]
-            for a in range(m):
-                for b in range(n):
-                    if word[a] != word[m + b]:
-                        continue
-                    remaining = tuple(word[s] for s in range(len(word))
-                                      if s != a and s != m + b)
-                    rows.setdefault((a, b, remaining), set()).add(local)
-        yield members, [[ONE if k in rows[key] else ZERO for k in range(len(members))]
-                        for key in sorted(rows)]
-
-
-def _traceless_parts(module: ExplicitModule) -> list[tuple[list[int], Subspace]]:
-    """The traceless subspace by weight block: each block's word positions
-    with its part in local coordinates, computed once per module."""
-    parts = module._derived.get("traceless")
-    if parts is None:
-        parts = []
-        for members, rows in _contraction_blocks(_require_words(module), module.star_slots,
-                                                 module.plain_slots, module.rank_n):
-            size = len(members)
-            parts.append((members, Subspace(size, nullspace(rows, size))))
-        module._derived["traceless"] = parts
-    return parts
+    rows: dict[tuple, set[int]] = {}
+    for local, pos in enumerate(members):
+        word = words[pos]
+        for a in range(m):
+            for b in range(n):
+                if word[a] != word[m + b]:
+                    continue
+                remaining = tuple(word[s] for s in range(len(word))
+                                  if s != a and s != m + b)
+                rows.setdefault((a, b, remaining), set()).add(local)
+    return [[ONE if k in rows[key] else ZERO for k in range(len(members))]
+            for key in sorted(rows)]
 
 
 def traceless_subspace(module: ExplicitModule) -> Subspace:
     """Joint kernel of all m*n contraction maps, as a subspace of the word
-    module. Computed weight block by weight block, which also keeps the
-    basis weight-homogeneous.
+    module. Computed once per module, as a sum over the gl(N) weight blocks,
+    which also keeps the basis weight-homogeneous.
     """
-    return Subspace.from_blocks(module.dimension, _traceless_parts(module))
+    space = module._derived.get("traceless")
+    if space is None:
+        words = _require_words(module)
+        space = module._derived["traceless"] = Subspace.from_blocks(module.dimension, [
+            (members, Subspace(len(members), nullspace(
+                _contraction_rows(words, module.star_slots, module.plain_slots, members),
+                len(members))))
+            for members in _weight_blocks(module, module.generator_labels()).positions])
+    return space
 
 
 def traceless_dimension(n_rank: int, m: int, n: int,
@@ -224,62 +215,27 @@ def traceless_dimension(n_rank: int, m: int, n: int,
     by contraction-constraint ranks per weight block. Never materializes
     action matrices, so it scales to the full budget.
     """
-    dim = n_rank ** (m + n)
-    if dim > budget:
-        raise BudgetExceededError(
-            f"module dimension {n_rank}^{m + n} = {dim} exceeds budget {budget}")
-    words = _tensor_words(n_rank, m, n)
-    total = 0
-    for members, rows in _contraction_blocks(words, m, n, n_rank):
-        total += len(members) - rank(rows)
-    return total
+    words = _tensor_words(n_rank, m, n, budget)
+    indices = range(1, n_rank + 1)
+    blocks = _WeightBlocks(indices, [_word_weight(word, m, indices) for word in words])
+    return sum(len(members) - rank(_contraction_rows(words, m, n, members))
+               for members in blocks.positions)
 
 
 # ---------------------------------------------------------------------------
 # Young symmetrizers
 
-def _canonical_tableau(shape: Partition) -> list[list[int]]:
-    """Row-reading tableau: slots 0..|shape|-1 filled row by row."""
-    rows = []
-    next_slot = 0
-    for length in shape.parts:
-        rows.append(list(range(next_slot, next_slot + length)))
-        next_slot += length
-    return rows
-
-
-def _group_perms(cells_groups: list[list[int]], size: int) -> list[tuple[int, ...]]:
-    """All slot permutations preserving each group (row or column group)."""
-    perms = [tuple(range(size))]
-    for group in cells_groups:
-        if len(group) < 2:
-            continue
-        new_perms = []
-        for base in perms:
-            for arrangement in permutations(group):
-                p = list(base)
-                for src, dst in zip(group, arrangement):
-                    p[src] = base[dst]
-                new_perms.append(tuple(p))
-        perms = new_perms
+def _group_perms(groups: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """All permutations of the slots that keep each group (the groups
+    partition the slots) in itself, as tuples of slot images."""
+    slots = [s for group in groups for s in group]
+    perms = []
+    for arrangement in product(*map(permutations, groups)):
+        perm = [0] * len(slots)
+        for s, image in zip(slots, chain.from_iterable(arrangement)):
+            perm[s] = image
+        perms.append(tuple(perm))
     return perms
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _symmetrizer_terms(shape: Partition) -> list[tuple[tuple[int, ...], int]]:
@@ -287,13 +243,14 @@ def _symmetrizer_terms(shape: Partition) -> list[tuple[tuple[int, ...], int]]:
     slot permutations: column-antisymmetrize after row-symmetrizing.
     """
     size = shape.size
-    tableau = _canonical_tableau(shape)
-    columns = [[row[j] for row in tableau if j < len(row)] for j in range(shape[0])]
-    row_perms = _group_perms(tableau, size)
-    col_perms = _group_perms(columns, size)
+    # the row-reading tableau: slots 0..|shape|-1 filled row by row
+    rows = [range(start, start + length)
+            for start, length in zip(accumulate(shape.parts, initial=0), shape.parts)]
+    columns = [[row[j] for row in rows if j < len(row)] for j in range(shape[0])]
+    row_perms = _group_perms(rows)
     terms = []
-    for q in col_perms:
-        sign = _perm_sign(q)
+    for q in _group_perms(columns):
+        sign = (-1) ** sum(a > b for a, b in combinations(q, 2))  # parity of inversions
         for p in row_perms:
             combined = tuple(q[p[s]] for s in range(size))
             terms.append((combined, sign))
@@ -310,19 +267,15 @@ def young_project(module: ExplicitModule, lam: Partition, mu: Partition) -> Subs
     if lam.size != m or mu.size != n:
         raise ValueError(
             f"shape sizes ({lam.size}, {mu.size}) do not match slots ({m}, {n})")
-    parts = _traceless_parts(module)
-    star_terms = _symmetrizer_terms(lam)
+    traceless = traceless_subspace(module)
+    blocks = _weight_blocks(module, module.generator_labels())
     plain_terms = _symmetrizer_terms(mu)
     words = _require_words(module)
     index = {w: pos for pos, w in enumerate(words)}
-    local = [0] * module.dimension
-    for members, _ in parts:
-        for k, pos in enumerate(members):
-            local[pos] = k
     # combined slot permutations acting on whole words, with total signs,
     # each as a table from word positions to positions within their blocks
     perm_tables = []
-    for sp, ssign in star_terms:
+    for sp, ssign in _symmetrizer_terms(lam):
         for pp, psign in plain_terms:
             perm = list(sp) + [m + s for s in pp]
             table = []
@@ -330,10 +283,10 @@ def young_project(module: ExplicitModule, lam: Partition, mu: Partition) -> Subs
                 moved = [0] * len(word)
                 for s, target in enumerate(perm):
                     moved[target] = word[s]
-                table.append(local[index[tuple(moved)]])
+                table.append(blocks.local[index[tuple(moved)]])
             perm_tables.append((table, ssign * psign))
     projected = []
-    for members, part in parts:
+    for members, part in zip(traceless.blocks, traceless.parts):
         images = []
         for vector in part.basis:
             out = zero_vec(len(members))
@@ -342,8 +295,8 @@ def young_project(module: ExplicitModule, lam: Partition, mu: Partition) -> Subs
                     if c:
                         out[table[members[k]]] += c if sign > 0 else -c
             images.append(out)
-        projected.append((members, Subspace(len(members), images)))
-    return Subspace.from_blocks(module.dimension, projected)
+        projected.append(Subspace(len(members), images))
+    return Subspace.from_blocks(module.dimension, zip(traceless.blocks, projected))
 
 
 # ---------------------------------------------------------------------------
@@ -409,32 +362,26 @@ class Filtration:
         return f"Filtration(dims={[s.dim for s in self.steps]})"
 
 
-def _group_by_weight(dimension: int, diagonal: Sequence[SparseMatrix]) -> dict[tuple, list[int]]:
-    entries = [mat.diagonal_entries() for mat in diagonal]
-    groups: dict[tuple, list[int]] = {}
-    for pos in range(dimension):
-        groups.setdefault(tuple(d[pos] for d in entries), []).append(pos)
-    return groups
-
-
 class _WeightBlocks:
-    """Coordinate blocks of a module: the joint eigenspaces of those
-    diagonal generators (i, i) of an algebra that act diagonally on it, in
-    sorted weight order (one block when none does). As [x_ii, x_kl] =
-    (d_il - d_ik) x_kl, the generator (k, l) maps the block of weight w into
-    that of weight w + e_l - e_k, and a subspace invariant under the
-    diagonal generators is the direct sum of its block parts; so kernels,
-    socles and invariance checks run block by block in local coordinates.
+    """Coordinate blocks of a module: the joint eigenspaces of diagonal
+    generators (i, i) that act diagonally on it, given by the indices i and
+    the weight of each basis vector under them, in sorted weight order (one
+    block when there are no indices). As [x_ii, x_kl] = (d_il - d_ik) x_kl,
+    the generator (k, l) maps the block of weight w into that of weight
+    w + e_l - e_k, and a subspace invariant under the diagonal generators is
+    the direct sum of its block parts; so kernels, socles and invariance
+    checks run block by block in local coordinates.
     """
 
-    def __init__(self, module: ExplicitModule, diagonal: Sequence[GeneratorLabel]):
-        self.indices = [i for i, _ in diagonal if module.action((i, i)).is_diagonal()]
-        groups = _group_by_weight(module.dimension,
-                                  [module.action((i, i)) for i in self.indices])
+    def __init__(self, indices: Iterable[int], weights: Sequence[tuple]):
+        self.indices = list(indices)
+        groups: dict[tuple, list[int]] = {}
+        for pos, weight in enumerate(weights):
+            groups.setdefault(weight, []).append(pos)
         self.weights = sorted(groups)
         self.positions = [groups[w] for w in self.weights]
-        self.block_of = [0] * module.dimension
-        self.local = [0] * module.dimension
+        self.block_of = [0] * len(weights)
+        self.local = [0] * len(weights)
         for b, members in enumerate(self.positions):
             for k, pos in enumerate(members):
                 self.block_of[pos], self.local[pos] = b, k
@@ -462,10 +409,13 @@ class _WeightBlocks:
         return found
 
     def split(self, space: Subspace) -> list[Subspace]:
-        """Block parts of a subspace. Raises when an echelon row leaves its
-        block: the reduced echelon basis of a subspace invariant under the
-        diagonal generators consists of weight vectors.
+        """Block parts of a subspace: the parts it was built from when it is
+        a sum over these blocks. Otherwise raises when an echelon row leaves
+        its block, since the reduced echelon basis of a subspace invariant
+        under the diagonal generators consists of weight vectors.
         """
+        if space.blocks == self.positions:
+            return space.parts
         rows: list[list[Vec]] = [[] for _ in self.positions]
         for vector, pivot in zip(space.basis, space.pivots):
             b = self.block_of[pivot]
@@ -477,14 +427,29 @@ class _WeightBlocks:
         return [Subspace(len(members), part) for members, part in zip(self.positions, rows)]
 
 
+def _diagonal_weights(module: ExplicitModule, indices: Sequence[int]
+                      ) -> tuple[list[int], list[tuple]]:
+    """Those indices i whose generator (i, i) acts diagonally, with the
+    weight of each basis vector under them. On a word module every (i, i)
+    does, and the weights are read off the words without building a matrix;
+    on any other module they are read off the diagonal matrices.
+    """
+    if module.labels is not None:
+        return list(indices), [_word_weight(word, module.star_slots, indices)
+                               for word in _require_words(module)]
+    indices = [i for i in indices if module.action((i, i)).is_diagonal()]
+    entries = [module.action((i, i)).diagonal_entries() for i in indices]
+    return indices, [tuple(d[pos] for d in entries) for pos in range(module.dimension)]
+
+
 def _weight_blocks(module: ExplicitModule, labels: Iterable[GeneratorLabel]
                    ) -> _WeightBlocks:
     """The blocks of the algebra's diagonal generators, made once per module
     and set of diagonal labels."""
-    diagonal = tuple(sorted({label for label in labels if label[0] == label[1]}))
+    diagonal = tuple(sorted({i for i, j in labels if i == j}))
     blocks = module._derived.get(diagonal)
     if blocks is None:
-        blocks = module._derived[diagonal] = _WeightBlocks(module, diagonal)
+        blocks = module._derived[diagonal] = _WeightBlocks(*_diagonal_weights(module, diagonal))
     return blocks
 
 
@@ -557,36 +522,39 @@ def socle_filtration_parabolic(module: ExplicitModule, para: ParabolicData) -> F
                        for step in _socle_steps(module, para, blocks)[1:]])
 
 
+def _coordinate_subspace(ambient: int, positions: Sequence[int]) -> Subspace:
+    """The span of the unit vectors at these increasing positions."""
+    return Subspace.from_blocks(ambient, [(positions, full_space(len(positions)))])
+
+
 def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
     """Binary-word grade filtration: step k spans the basis words with at
     most k starred tensorands outside the distinguished block.
     """
     grades = [sum(1 for idx in word[:module.star_slots] if idx > para.b)
               for word in _require_words(module)]
+    blocks = _weight_blocks(module, para.labels)
     return Filtration([
-        Subspace(module.dimension, [unit_vec(module.dimension, pos)
-                                    for pos, g in enumerate(grades) if g <= k])
-        for k in range(module.star_slots + 1)])
+        Subspace.from_blocks(module.dimension, [
+            (members, _coordinate_subspace(len(members), [
+                k for k, pos in enumerate(members) if grades[pos] <= step]))
+            for members in blocks.positions])
+        for step in range(module.star_slots + 1)])
 
 
 def weight_decompose(module: ExplicitModule, h_labels: Sequence[GeneratorLabel]
                      ) -> dict[tuple[Fraction, ...], Subspace]:
-    """Simultaneous eigenspace decomposition under diagonal generators.
-    The action matrices must literally be diagonal (true for diagonal labels
-    on word modules), so they commute; anything else is rejected.
+    """Simultaneous eigenspace decomposition under diagonal generators
+    (i, i). Their action matrices must literally be diagonal (true on word
+    modules), so they commute; any other label is rejected.
     """
-    mats = []
-    for label in h_labels:
-        mat = module.action(label)
-        if not mat.is_diagonal():
-            raise ValueError(f"generator {label} does not act diagonally")
-        mats.append(mat)
-    groups = _group_by_weight(module.dimension, mats)
-    return {
-        weight: Subspace(module.dimension,
-                         [unit_vec(module.dimension, pos) for pos in groups[weight]])
-        for weight in sorted(groups)
-    }
+    indices, weights = _diagonal_weights(module, [i for i, j in h_labels if i == j])
+    for i, j in h_labels:
+        if i != j or i not in indices:
+            raise ValueError(f"generator {(i, j)} does not act diagonally")
+    blocks = _WeightBlocks(indices, weights)
+    return {tuple(Fraction(x) for x in weight): _coordinate_subspace(module.dimension, members)
+            for weight, members in zip(blocks.weights, blocks.positions)}
 
 
 def vandermonde_span(components: Sequence[Sequence[Fraction]],
@@ -658,10 +626,12 @@ def is_essential_filtration(module: ExplicitModule, filtration: Filtration, alge
     else:
         raise ValueError("essentiality is decided over a parabolic or the zero algebra")
     blocks = _weight_blocks(module, labels)
+    # a sum of block parts is invariant under the (i, i) that grade the blocks
+    moving = [(i, j) for i, j in labels if i != j or i not in blocks.indices]
     chain = [blocks.zero()]
     for step in filtration:
         parts = blocks.split(step)
-        if not all(_is_invariant(module, blocks, label, parts) for label in labels):
+        if not all(_is_invariant(module, blocks, label, parts) for label in moving):
             raise ValueError("filtration step is not action-invariant")
         if step.dim > sum(part.dim for part in chain[-1]):
             chain.append(parts)

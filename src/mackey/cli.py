@@ -2,10 +2,11 @@
 coproducts, finite-rank dimensions, and the verification suites.
 
 Exit codes: 0 success, 1 verification failure (or a reader that closed the
-pipe before the output ended), 2 usage error or an input too deep for the
-recursion limit, 130 interrupted (Ctrl-C, with one line on stderr and no
-traceback). JSON goes to stdout, diagnostics to stderr. The SOCLE_BUDGET
-environment variable overrides the default brute-force size budget.
+pipe before the output ended), 2 usage error, an input too deep for the
+recursion limit or an integer answer over MAX_DIGITS digits, 130
+interrupted (Ctrl-C, with one line on stderr and no traceback). JSON goes to
+stdout, diagnostics to stderr. The SOCLE_BUDGET environment variable
+overrides the default brute-force size budget.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 
 from . import verify
 from .brute import DEFAULT_BUDGET, BudgetExceededError
@@ -24,6 +26,7 @@ from .symfunc import coproduct, lr_coefficient
 
 USAGE_ERROR = 2
 INTERRUPTED = 130
+MAX_DIGITS = 100_000
 
 
 def canonical_json(data) -> str:
@@ -59,6 +62,17 @@ def _default_budget() -> int:
         raise SystemExit(USAGE_ERROR)
 
 
+def _print_int(value: int) -> None:
+    """Print an integer answer in full, or refuse one with more than
+    MAX_DIGITS digits: its conversion time grows quadratically, to seconds."""
+    digits = value.bit_length() * 1233 >> 12  # bits * log10(2), rounded down
+    if digits > MAX_DIGITS:
+        raise ValueError(f"the answer has about {digits} digits, "
+                         f"more than the {MAX_DIGITS} this command prints")
+    # Decimal formats past the interpreter's 4300-digit limit on str(int)
+    print(Decimal(value))
+
+
 def render_socle_text(report: SocleReport) -> str:
     lines = [
         f"socle filtration of W(lambda={format_partition(report.lam)}, "
@@ -88,12 +102,12 @@ def cmd_socle(args) -> int:
 def cmd_simple_length(args) -> int:
     lam = _parse_partition_or_exit(args.lam, "--lambda")
     mu = _parse_partition_or_exit(args.mu, "--mu")
-    print(simple_length(lam, mu))
+    _print_int(simple_length(lam, mu))
     return 0
 
 
 def cmd_length(args) -> int:
-    print(tensor_length(args.m, args.n))
+    _print_int(tensor_length(args.m, args.n))
     return 0
 
 
@@ -101,7 +115,7 @@ def cmd_lr(args) -> int:
     lam = _parse_partition_or_exit(args.lam, "lambda")
     mu = _parse_partition_or_exit(args.mu, "mu")
     nu = _parse_partition_or_exit(args.nu, "nu")
-    print(lr_coefficient(lam, mu, nu))
+    _print_int(lr_coefficient(lam, mu, nu))
     return 0
 
 
@@ -124,7 +138,7 @@ def cmd_dim(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    print(dim_mixed(weight))
+    _print_int(dim_mixed(weight))
     return 0
 
 

@@ -93,11 +93,12 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
 class Subspace:
     """A subspace of Q^n held as a reduced row-echelon basis."""
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "pivots", "blocks", "parts", "_basis")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence[Fraction]] = ()):
         self.ambient = ambient
-        self.basis, self.pivots = rref(vectors)
+        self._basis, self.pivots = rref(vectors)
+        self.blocks = self.parts = None
 
     @classmethod
     def from_blocks(cls, ambient: int,
@@ -108,26 +109,34 @@ class Subspace:
         Placed in the ambient space and sorted by pivot, the echelon rows of
         the parts already are the reduced echelon basis of the sum, so
         nothing is eliminated again and the basis is the one the
-        constructor would compute.
+        constructor would compute; it is placed when first read. The blocks
+        and parts are kept, so that two sums over the same blocks are
+        compared part by part.
         """
-        placed = []
-        for positions, part in parts:
-            for row, pivot in zip(part.basis, part.pivots):
-                v = zero_vec(ambient)
-                for k, x in enumerate(row):
-                    if x:
-                        v[positions[k]] = x
-                placed.append((positions[pivot], v))
-        placed.sort(key=lambda item: item[0])
+        parts = list(parts)
         space = cls.__new__(cls)
-        space.ambient = ambient
-        space.pivots = [pivot for pivot, _ in placed]
-        space.basis = [v for _, v in placed]
+        space.ambient, space._basis = ambient, None
+        space.blocks = [positions for positions, _ in parts]
+        space.parts = [part for _, part in parts]
+        space.pivots = sorted(positions[pivot] for positions, part in parts
+                              for pivot in part.pivots)
         return space
 
     @property
+    def basis(self) -> list[Vec]:
+        if self._basis is None:
+            rows = {}
+            for positions, part in zip(self.blocks, self.parts):
+                for row, pivot in zip(part.basis, part.pivots):
+                    placed = rows[positions[pivot]] = zero_vec(self.ambient)
+                    for position, x in zip(positions, row):
+                        placed[position] = x
+            self._basis = [rows[pivot] for pivot in self.pivots]
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def reduce(self, v: Sequence[Fraction]) -> Vec:
         """Residual of v modulo this subspace (zero iff v is a member)."""
@@ -141,18 +150,15 @@ class Subspace:
         return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        if self.blocks is not None and other.blocks == self.blocks:
+            return all(a.contains_subspace(b) for a, b in zip(self.parts, other.parts))
         return all(self.contains(b) for b in other.basis)
 
     def coordinates(self, v: Sequence[Fraction]) -> Vec:
         """Coefficients of v in this basis; raises if v is not a member."""
-        coords = [v[p] for p in self.pivots]
-        r = list(v)
-        for e, c in zip(self.basis, coords):
-            if c:
-                add_scaled(r, e, -c)
-        if any(r):
+        if any(self.reduce(v)):
             raise ValueError("vector not in subspace")
-        return coords
+        return [v[p] for p in self.pivots]
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """Standard kernel construction on stacked coefficient vectors."""
@@ -181,7 +187,10 @@ class Subspace:
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(n, [unit_vec(n, i) for i in range(n)])
+    """Q^n, whose unit vectors already are its reduced echelon basis."""
+    space = Subspace(n)
+    space._basis, space.pivots = [unit_vec(n, i) for i in range(n)], list(range(n))
+    return space
 
 
 class SparseMatrix:

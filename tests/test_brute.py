@@ -20,6 +20,7 @@ from mackey.brute import (
     weight_decompose,
     young_project,
 )
+from mackey.brute import _weight_blocks
 from mackey.linalg import (
     SparseMatrix,
     Subspace,
@@ -98,6 +99,16 @@ def test_invariant_pairing_vector_is_killed():
 def test_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         build_tensor_module(10, 3, 2, budget=1000)
+
+
+def test_traceless_dimension_checks_its_input_like_the_builder():
+    for args in [(0, 1, 1), (2, -1, 1), (2, 1, -1)]:
+        with pytest.raises(ValueError):
+            build_tensor_module(*args)
+        with pytest.raises(ValueError):
+            traceless_dimension(*args)
+    with pytest.raises(BudgetExceededError):
+        traceless_dimension(10, 3, 2, budget=1000)
 
 
 def test_basis_labels_mark_starred_slots():
@@ -269,6 +280,15 @@ def test_filtration_must_ascend():
     other = Subspace(2, [unit_vec(2, 1)])
     with pytest.raises(ValueError):
         Filtration([line, other])
+
+
+def test_filtration_of_sums_over_the_same_blocks_must_ascend():
+    blocks = [[0, 2], [1]]
+    line = Subspace.from_blocks(3, zip(blocks, [Subspace(2, [vec([1, 1])]), Subspace(1)]))
+    other = Subspace.from_blocks(3, zip(blocks, [Subspace(2, [vec([0, 1])]), Subspace(1)]))
+    with pytest.raises(ValueError):
+        Filtration([line, other])
+    Filtration([line, Subspace.from_blocks(3, zip(blocks, [full_space(2), Subspace(1)]))])
 
 
 # --- essentiality -----------------------------------------------------------
@@ -601,6 +621,85 @@ def test_generator_that_breaks_the_grading_is_rejected():
     module = ExplicitModule(2, 2, lambda label: mats.get(label, SparseMatrix(2)))
     with pytest.raises(ValueError, match="shift weights"):
         socle_filtration_parabolic(module, parabolic(2, 1))
+
+
+# --- the word-module bypasses against the paths they bypass --------------------
+
+def test_weights_read_off_the_words_match_the_diagonal_matrices():
+    cases = [(n_rank, m, n) for n_rank in range(1, 5) for m in range(4)
+             for n in range(4 - m)] + [(8, 1, 2)]
+    for n_rank, m, n in cases:
+        module = build_tensor_module(n_rank, m, n)
+        # the same matrices without the word labels
+        wrapped = ExplicitModule(module.dimension, n_rank, module.action)
+        for labels in [module.generator_labels(), [(n_rank, n_rank), (1, 1), (1, n_rank)]]:
+            words, matrices = _weight_blocks(module, labels), _weight_blocks(wrapped, labels)
+            assert words.indices == matrices.indices, (n_rank, m, n)
+            assert words.weights == matrices.weights, (n_rank, m, n)
+            assert words.positions == matrices.positions, (n_rank, m, n)
+
+
+def test_word_modules_are_graded_without_diagonal_matrices():
+    module = build_tensor_module(5, 2, 1)
+    para = parabolic(5, 2)
+    socle_filtration_parabolic(module, para)
+    grade_filtration(module, para)
+    young_project(module, P([1, 1]), P([1]))
+    weight_decompose(module, [(1, 1), (3, 3)])
+    assert module._cache and not [label for label in module._cache if label[0] == label[1]]
+
+
+def dense_copy(space):
+    return Subspace(space.ambient, space.basis)
+
+
+def test_part_wise_containment_agrees_with_the_dense_path():
+    for n_rank, b, m, n in [(4, 2, 2, 0), (4, 2, 1, 1), (5, 2, 3, 0)]:
+        module = build_tensor_module(n_rank, m, n)
+        para = parabolic(n_rank, b)
+        spaces = [traceless_subspace(module), *socle_filtration_parabolic(module, para),
+                  *grade_filtration(module, para)]
+        spaces += [young_project(module, lam, mu) for lam in partitions_up_to(m)
+                   if lam.size == m for mu in partitions_up_to(n) if mu.size == n]
+        outcomes = set()
+        for a in spaces:
+            for b_space in spaces:
+                if a.blocks is not None and a.blocks == b_space.blocks:
+                    got = a.contains_subspace(b_space)
+                    assert got == dense_copy(a).contains_subspace(dense_copy(b_space))
+                    outcomes.add(got)
+        assert outcomes == {True, False}, (n_rank, b, m, n)
+
+
+def dense_grade_filtration(module, para):
+    grades = [sum(1 for idx in word[:module.star_slots] if idx > para.b)
+              for word in word_indices(module)]
+    dim = module.dimension
+    return Filtration([
+        Subspace(dim, [unit_vec(dim, pos) for pos, g in enumerate(grades) if g <= k])
+        for k in range(module.star_slots + 1)])
+
+
+def test_grade_filtration_matches_the_dense_unit_vectors():
+    cases = [(n_rank, b, m, 0) for n_rank, b in SOCLE_SHADOW_GRID
+             for m in range(1, min(b, n_rank - b, 3) + 1)] + [(4, 2, 1, 1)]
+    for n_rank, b, m, n in cases:
+        module = build_tensor_module(n_rank, m, n)
+        para = parabolic(n_rank, b)
+        graded, dense = grade_filtration(module, para), dense_grade_filtration(module, para)
+        assert dump_filtration(graded) == dump_filtration(dense), (n_rank, b, m, n)
+        assert [s.pivots for s in graded] == [s.pivots for s in dense], (n_rank, b, m, n)
+
+
+def test_shadow_outside_the_stable_range():
+    # m = 4 > b = 3: the finite-rank shadow of (V*)^(x)4 breaks, so its socle
+    # layers differ from the grade layers [81, 324, 486, 324, 81] and it has
+    # 74 constituents, not tensor_length(4, 0) = 76
+    module = build_tensor_module(6, 4, 0)
+    para = parabolic(6, 3)
+    assert socle_filtration_parabolic(module, para).layer_dimensions() == [84, 330, 480, 321, 81]
+    assert constituent_count(module, para) == 74
+    assert not is_essential_filtration(module, grade_filtration(module, para), para)
 
 
 def test_essentiality_needs_a_parabolic_or_the_zero_algebra():

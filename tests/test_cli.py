@@ -1,8 +1,12 @@
+import importlib.abc
 import json
+import math
+import runpy
 import signal
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -99,6 +103,25 @@ def test_dim(capsys):
     assert code == 0 and out.strip() == str(10**18)
 
 
+def test_answers_past_the_interpreter_digit_limit_print_in_full(capsys):
+    # str(int) refuses more than 4300 digits
+    code, out, err = run_cli(capsys, "length", "--m", "3000", "--n", "0")
+    assert code == 0 and err == "" and len(out.strip()) > 4300
+    assert int(Decimal(out)) == tensor_length(3000, 0)
+    # S^3000(C^N) has dimension C(N + 2999, 3000)
+    code, out, err = run_cli(capsys, "dim", "--rank", "1000000", "--lambda", "3000", "--mu", "-")
+    assert code == 0 and err == "" and len(out.strip()) > 4300
+    assert int(Decimal(out)) == math.comb(10**6 + 2999, 3000)
+
+
+def test_too_long_an_answer_exits_2_with_its_size(capsys):
+    code, out, err = run_cli(capsys, "dim", "--rank", str(10**18),
+                             "--lambda", "20000", "--mu", "-")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: the answer has about 282658 digits, more than the 100000 this command prints"]
+
+
 def test_too_deep_input_exits_2_with_one_line(capsys):
     # the LR enumerator recurses once per cell of lambda
     code, out, err = run_cli(capsys, "lr", "1100", "-", "1100")
@@ -183,6 +206,22 @@ def test_interrupted_verify_exits_130(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "all")
     assert code == 130 and out == ""
     assert err.splitlines() == ["interrupted"]
+
+
+def test_ctrl_c_while_the_package_imports_exits_130(capsys, monkeypatch):
+    class Interrupted(importlib.abc.MetaPathFinder):
+        """Stands in for a mackey.cli whose import Ctrl-C interrupts."""
+
+        def find_spec(self, name, path, target=None):
+            if name == "mackey.cli":
+                raise KeyboardInterrupt
+
+    monkeypatch.delitem(sys.modules, "mackey.cli")
+    monkeypatch.setattr(sys, "meta_path", [Interrupted(), *sys.meta_path])
+    with pytest.raises((SystemExit, KeyboardInterrupt)) as exc:
+        runpy.run_module("mackey", run_name="__main__")
+    assert exc.type is SystemExit and exc.value.code == 130
+    assert capsys.readouterr().err.splitlines() == ["interrupted"]
 
 
 def test_ctrl_c_stops_a_long_command_with_one_line():
