@@ -58,8 +58,8 @@ class ExplicitModule:
 
     Matrices are built on first use and cached, since most computations only
     touch the parabolic generators; so are the weight blocks and the
-    traceless subspace built on them. Modules produced by restriction
-    reuse this class with a different builder.
+    traceless subspace and socle steps built on them. Modules produced by
+    restriction reuse this class with a different builder.
     """
 
     def __init__(self, dimension: int, rank_n: int,
@@ -500,13 +500,18 @@ def _kernel(module: ExplicitModule, blocks: _WeightBlocks,
 
 def _socle_steps(module: ExplicitModule, para: ParabolicData, blocks: _WeightBlocks
                  ) -> list[list[Subspace]]:
-    """Block parts of the socle filtration, after a zero step."""
-    steps, dims = [blocks.zero()], [0]
-    while dims[-1] < module.dimension:
-        steps.append(_kernel(module, blocks, para.nilradical_labels, steps[-1]))
-        dims.append(sum(part.dim for part in steps[-1]))
-        if dims[-1] <= dims[-2]:
-            raise ValueError("module is not closed under the parabolic action")
+    """Block parts of the socle filtration, after a zero step, found once
+    per module and nilradical."""
+    key = ("socle", tuple(para.nilradical_labels))
+    steps = module._derived.get(key)
+    if steps is None:
+        steps, dims = [blocks.zero()], [0]
+        while dims[-1] < module.dimension:
+            steps.append(_kernel(module, blocks, para.nilradical_labels, steps[-1]))
+            dims.append(sum(part.dim for part in steps[-1]))
+            if dims[-1] <= dims[-2]:
+                raise ValueError("module is not closed under the parabolic action")
+        module._derived[key] = steps
     return steps
 
 

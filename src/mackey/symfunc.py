@@ -1,10 +1,10 @@
 """The ring of symmetric functions in the Schur basis.
 
-Products and coproducts are computed through Littlewood-Richardson
-coefficients, obtained by direct enumeration of LR skew tableaux
-(row-weak, column-strict fillings whose reverse reading word is a lattice
-word). One LR routine backs both the product and the coproduct, so a single
-set of oracle tests covers the structure constants everywhere they appear.
+LR coefficients, products and coproducts are all read off one cached skew
+table: the LR tableaux of a skew shape (row-weak, column-strict fillings
+whose reverse reading word is a lattice word), enumerated once and tallied
+by content. So a single set of oracle tests covers the structure constants
+everywhere they appear.
 
 Evaluation of Schur polynomials at exact rational points (Jacobi-Trudi
 determinant in complete homogeneous polynomials) is provided for
@@ -14,6 +14,7 @@ with the tableau enumeration.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Sequence
@@ -91,65 +92,63 @@ class TensorSchurExpr:
 
 
 # functools.cache is safe for concurrent readers/writers under CPython's lock;
-# a missed hit only recomputes a pure value.
+# a missed hit only recomputes a pure value. Callers only read the shared dict.
 @cache
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """The Littlewood-Richardson coefficient c^lam_{mu nu}.
-
-    Counts skew tableaux of shape lam/mu and content nu that are weakly
-    increasing along rows, strictly increasing down columns, and whose
-    reverse reading word is a lattice word. Zero when the sizes do not add
-    up or mu is not contained in lam.
+def _skew_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
+    """{nu: c^outer_{inner nu}}, the Schur expansion of s_{outer/inner}, empty
+    when inner is not in outer: the LR tableaux of outer/inner, enumerated
+    once in reverse reading order (rows weak, columns strict, each entry
+    keeping the word read so far a lattice word, so at most one above the
+    largest letter used: no content bound is needed) and tallied by content.
     """
-    if mu.size + nu.size != lam.size or not lam.contains(mu):
-        return 0
-    if not nu.parts:
-        return 1  # lam == mu by the size check
-    # cells of lam/mu in reverse reading order: top row first, right to left,
-    # so the lattice condition can be enforced as cells are filled
-    cells = []
-    for i in range(len(lam)):
-        row_start = mu[i]
-        prev_row_has = lam[i - 1] if i > 0 else 0
-        for j in range(lam[i] - 1, row_start - 1, -1):
-            above = (i - 1, j) if i > 0 and j < prev_row_has else None
-            cells.append((i, j, above))
-    nrows = len(nu)
-    counts = [0] * (nrows + 1)
-    filling: dict[tuple[int, int], int] = {}
-    total = 0
-
-    def place(pos: int) -> None:
-        nonlocal total
-        if pos == len(cells):
-            total += 1
-            return
-        i, j, above = cells[pos]
-        right = filling.get((i, j + 1))
-        hi = right if right is not None else nrows
-        # the cell above may belong to mu (never filled): no constraint then
-        over = filling.get(above) if above is not None else None
-        lo = over + 1 if over is not None else 1
-        for e in range(lo, hi + 1):
-            if counts[e] >= nu[e - 1]:
+    if not outer.contains(inner):
+        return {}
+    top = len(outer)
+    cells = [(i, j) for i in range(top) for j in range(outer[i] - 1, inner[i] - 1, -1)]
+    n, where = len(cells), {cell: pos for pos, cell in enumerate(cells)}
+    # a cell's filled neighbours by position; a missing one points past the
+    # cells, at the bound top on the right or at 0 above
+    right = [where.get((i, j + 1), n) for i, j in cells]
+    above = [where.get((i - 1, j), n + 1) for i, j in cells]
+    fill = [0] * n + [top, 0]  # the entry last tried at each cell, then the two bounds
+    counts = [n + 1] + [0] * (top + 1)  # letter counts between two sentinels
+    tally: Counter[tuple[int, ...]] = Counter()
+    pos = 0
+    while pos >= 0:
+        if pos == n:  # a whole tableau
+            tally[tuple(counts[1:counts.index(0, 1)])] += 1
+        else:
+            e, hi = fill[pos] + 1, fill[right[pos]]
+            while e <= hi and counts[e] >= counts[e - 1]:
+                e += 1
+            if e <= hi:  # place e, and start the next cell below its bound
+                fill[pos] = e
+                counts[e] += 1
+                pos += 1
+                if pos < n:
+                    fill[pos] = fill[above[pos]]
                 continue
-            if e > 1 and counts[e] >= counts[e - 1]:
-                continue  # would break the lattice condition
-            counts[e] += 1
-            filling[(i, j)] = e
-            place(pos + 1)
-            del filling[(i, j)]
-            counts[e] -= 1
+        pos -= 1  # back to the previous cell, taking its entry out
+        counts[fill[pos]] -= 1  # at pos -1, fill[-1] is 0: only the sentinel moves
+    return {Partition(content): c for content, c in tally.items()}
 
-    place(0)
-    return total
+
+def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """The Littlewood-Richardson coefficient c^lam_{mu nu}, read off the skew
+    table of lam/mu: zero when the sizes do not add up or mu is not in lam.
+    """
+    return _skew_table(lam, mu).get(nu, 0)
 
 
 def schur_product(mu: Partition, nu: Partition) -> SchurExpr:
-    """s_mu * s_nu expanded in the Schur basis."""
+    """s_mu * s_nu in the Schur basis: the skew Schur function of mu and nu
+    placed corner to corner, mu to the upper right of nu."""
+    width = nu[0]
+    outer = Partition([part + width for part in mu] + list(nu))
+    inner = Partition([width] * len(mu))
     out = {}
     for lam in partitions_of(mu.size + nu.size):
-        c = lr_coefficient(lam, mu, nu)
+        c = lr_coefficient(outer, inner, lam)
         if c:
             out[lam] = c
     return SchurExpr(out)

@@ -20,6 +20,7 @@ from mackey.brute import (
     weight_decompose,
     young_project,
 )
+from mackey import brute
 from mackey.brute import _weight_blocks
 from mackey.linalg import (
     SparseMatrix,
@@ -423,6 +424,23 @@ def test_restrict_module_rejects_non_invariant_subspace():
 def test_constituent_count_matches_length_formula():
     assert constituent_count(build_tensor_module(6, 2, 0), parabolic(6, 3)) == 6
     assert constituent_count(build_tensor_module(4, 1, 0), parabolic(4, 2)) == 2
+
+
+def test_constituent_count_reuses_the_socle_steps(monkeypatch):
+    para = parabolic(6, 3)
+    fresh = constituent_count(build_tensor_module(6, 2, 0), para)
+    module = build_tensor_module(6, 2, 0)
+    socle_filtration_parabolic(module, para)
+    passes = []
+    kernel = brute._kernel
+
+    def counted(module, blocks, labels, *rest):
+        passes.append(list(labels))
+        return kernel(module, blocks, labels, *rest)
+
+    monkeypatch.setattr(brute, "_kernel", counted)
+    assert constituent_count(module, para) == fresh == 6
+    assert passes and para.nilradical_labels not in passes
 
 
 def test_tensor_length_degree_four_against_semisimple_counts():

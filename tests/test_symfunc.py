@@ -35,6 +35,13 @@ def test_lr_frozen_values():
 def test_lr_size_and_containment_guards():
     assert lr_coefficient(P([2, 1]), P([1]), P([1])) == 0
     assert lr_coefficient(P([1, 1, 1]), P([2]), P([1])) == 0
+    assert lr_coefficient(P([2]), P([3]), EMPTY) == 0
+    assert lr_coefficient(EMPTY, P([1]), P([1])) == 0
+    lam = P([3, 2, 1])
+    for mu in partitions_up_to(4):
+        for nu in partitions_up_to(6):
+            if not lam.contains(mu) or mu.size + nu.size != lam.size:
+                assert lr_coefficient(lam, mu, nu) == 0, (mu, nu)
 
 
 def test_lr_against_monomial_oracle():
@@ -54,6 +61,25 @@ def test_schur_product_examples():
     assert schur_product(P([1]), P([1])) == SchurExpr({P([2]): 1, P([1, 1]): 1})
     assert schur_product(P([2]), P([1, 1])) == \
         SchurExpr({P([3, 1]): 1, P([2, 1, 1]): 1})
+
+
+def test_schur_product_against_monomial_oracle():
+    for total in range(8):
+        for k in range(total + 1):
+            for mu in partitions_of(k):
+                for nu in partitions_of(total - k):
+                    assert {lam.parts: c for lam, c in schur_product(mu, nu)} == \
+                        schur_product_table(mu.parts, nu.parts), (mu, nu)
+
+
+def test_schur_product_commutes():
+    # the two sides place different factors on top, so they enumerate
+    # different skew shapes
+    for total in range(11):
+        for k in range(total // 2 + 1):
+            for mu in partitions_of(k):
+                for nu in partitions_of(total - k):
+                    assert schur_product(mu, nu) == schur_product(nu, mu), (mu, nu)
 
 
 def test_schur_product_support_degree():
