@@ -59,18 +59,22 @@ class ExplicitModule:
     Matrices are built on first use and cached, since most computations only
     touch the parabolic generators; so are the weight blocks and the
     traceless subspace and socle steps built on them. Modules produced by
-    restriction reuse this class with a different builder.
+    restriction reuse this class with a different builder. The weights hold
+    the weight of each basis vector under (1, 1)..(N, N), or are None for an
+    ungraded module, which is one block.
     """
 
     def __init__(self, dimension: int, rank_n: int,
                  builder: Callable[[GeneratorLabel], SparseMatrix],
                  labels: tuple[WordLabel, ...] | None = None,
-                 star_slots: int = 0, plain_slots: int = 0):
+                 star_slots: int = 0, plain_slots: int = 0,
+                 weights: Sequence[tuple[int, ...]] | None = None):
         self.dimension = dimension
         self.rank_n = rank_n
         self.labels = labels
         self.star_slots = star_slots
         self.plain_slots = plain_slots
+        self.weights = weights
         self._builder = builder
         self._cache: dict[GeneratorLabel, SparseMatrix] = {}
         self._derived: dict = {}
@@ -104,10 +108,10 @@ def _tensor_words(n_rank: int, m: int, n: int, budget: int) -> list[tuple[int, .
     return list(product(range(1, n_rank + 1), repeat=m + n))
 
 
-def _word_weight(word: tuple[int, ...], m: int, indices: Iterable[int]) -> tuple[int, ...]:
-    """The eigenvalues of the generators (i, i) of these indices on a basis
-    word with m starred slots: each plain slot i counts 1, each starred -1."""
-    return tuple(word[m:].count(i) - word[:m].count(i) for i in indices)
+def _word_weight(word: tuple[int, ...], m: int, n_rank: int) -> tuple[int, ...]:
+    """The eigenvalues of the generators (1, 1)..(N, N) on a basis word with
+    m starred slots: each plain slot i counts 1, each starred -1."""
+    return tuple(word[m:].count(i) - word[:m].count(i) for i in range(1, n_rank + 1))
 
 
 def build_tensor_module(n_rank: int, m: int, n: int,
@@ -138,30 +142,41 @@ def build_tensor_module(n_rank: int, m: int, n: int,
                         entries.append((index[tgt], col, ONE))
         return SparseMatrix.from_entries(dim, entries)
 
-    return ExplicitModule(dim, n_rank, build, labels, m, n)
+    return ExplicitModule(dim, n_rank, build, labels, m, n,
+                          [_word_weight(word, m, n_rank) for word in words])
 
 
 def restrict_module(module: ExplicitModule, subspace: Subspace) -> ExplicitModule:
-    """The module structure induced on an invariant subspace, in the
-    coordinates of the subspace basis. Raises if the subspace is moved.
+    """The module induced on an invariant subspace, in the coordinates and
+    with the weights of the subspace basis. A generator maps block b into
+    block targets(b), so coordinates are read in that block's part. Raises
+    if the subspace is not a sum of weight vectors, or a generator moves it.
     """
+    blocks = _weight_blocks(module, module.generator_labels())
+    parts = blocks.split(subspace)
+    # the restricted basis is the subspace's, numbered in its pivot order
+    at = {pivot: col for col, pivot in enumerate(subspace.pivots)}
+    number = [[at[members[p]] for p in part.pivots]
+              for members, part in zip(blocks.positions, parts)]
 
     def build(label: GeneratorLabel) -> SparseMatrix:
-        ambient = module.action(label)
+        mat = module.action(label)
         entries = []
-        for col, vector in enumerate(subspace.basis):
-            image = ambient.apply(vector)
-            try:
-                coords = subspace.coordinates(image)
-            except ValueError:
-                raise ValueError(
-                    f"subspace is not invariant under generator {label}") from None
-            for row, c in enumerate(coords):
-                if c:
-                    entries.append((row, col, c))
+        for b, u in enumerate(blocks.targets(module, label)):
+            if u is None:
+                continue
+            for col, vector in zip(number[b], parts[b].basis):
+                try:
+                    coords = parts[u].coordinates(blocks.image(mat, b, u, vector))
+                except ValueError:
+                    raise ValueError(
+                        f"subspace is not invariant under generator {label}") from None
+                entries.extend((row, col, c) for row, c in zip(number[u], coords) if c)
         return SparseMatrix.from_entries(subspace.dim, entries)
 
-    return ExplicitModule(subspace.dim, module.rank_n, build)
+    weights = None if module.weights is None else [
+        blocks.weights[blocks.block_of[pivot]] for pivot in subspace.pivots]
+    return ExplicitModule(subspace.dim, module.rank_n, build, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +231,8 @@ def traceless_dimension(n_rank: int, m: int, n: int,
     action matrices, so it scales to the full budget.
     """
     words = _tensor_words(n_rank, m, n, budget)
-    indices = range(1, n_rank + 1)
-    blocks = _WeightBlocks(indices, [_word_weight(word, m, indices) for word in words])
+    blocks = _WeightBlocks(range(1, n_rank + 1),
+                           [_word_weight(word, m, n_rank) for word in words])
     return sum(len(members) - rank(_contraction_rows(words, m, n, members))
                for members in blocks.positions)
 
@@ -364,13 +379,13 @@ class Filtration:
 
 class _WeightBlocks:
     """Coordinate blocks of a module: the joint eigenspaces of diagonal
-    generators (i, i) that act diagonally on it, given by the indices i and
-    the weight of each basis vector under them, in sorted weight order (one
-    block when there are no indices). As [x_ii, x_kl] = (d_il - d_ik) x_kl,
-    the generator (k, l) maps the block of weight w into that of weight
-    w + e_l - e_k, and a subspace invariant under the diagonal generators is
-    the direct sum of its block parts; so kernels, socles and invariance
-    checks run block by block in local coordinates.
+    generators (i, i), given by the indices i and the weight of each basis
+    vector under them, in sorted weight order (one block when there are no
+    indices). As [x_ii, x_kl] = (d_il - d_ik) x_kl, the generator (k, l)
+    maps the block of weight w into that of weight w + e_l - e_k, and a
+    subspace invariant under the diagonal generators is the direct sum of
+    its block parts; so kernels, socles and invariance checks run block by
+    block in local coordinates.
     """
 
     def __init__(self, indices: Iterable[int], weights: Sequence[tuple]):
@@ -408,6 +423,16 @@ class _WeightBlocks:
             self._targets[label] = found
         return found
 
+    def image(self, mat: SparseMatrix, b: int, u: int, vector: Sequence[Fraction]) -> Vec:
+        """The image under the matrix of a vector of block b, given and
+        returned in local coordinates, when the matrix maps b into u."""
+        image = zero_vec(len(self.positions[u]))
+        for pos, c in zip(self.positions[b], vector):
+            if c:
+                for i, x in mat.cols.get(pos, {}).items():
+                    image[self.local[i]] += c * x
+        return image
+
     def split(self, space: Subspace) -> list[Subspace]:
         """Block parts of a subspace: the parts it was built from when it is
         a sum over these blocks. Otherwise raises when an echelon row leaves
@@ -422,34 +447,22 @@ class _WeightBlocks:
             local = [vector[pos] for pos in self.positions[b]]
             # every nonzero entry of the row must lie in its pivot's block
             if len(vector) - vector.count(ZERO) != len(local) - local.count(ZERO):
-                raise ValueError("filtration step is moved by a diagonal generator")
+                raise ValueError("subspace is moved by a diagonal generator")
             rows[b].append(local)
         return [Subspace(len(members), part) for members, part in zip(self.positions, rows)]
 
 
-def _diagonal_weights(module: ExplicitModule, indices: Sequence[int]
-                      ) -> tuple[list[int], list[tuple]]:
-    """Those indices i whose generator (i, i) acts diagonally, with the
-    weight of each basis vector under them. On a word module every (i, i)
-    does, and the weights are read off the words without building a matrix;
-    on any other module they are read off the diagonal matrices.
-    """
-    if module.labels is not None:
-        return list(indices), [_word_weight(word, module.star_slots, indices)
-                               for word in _require_words(module)]
-    indices = [i for i in indices if module.action((i, i)).is_diagonal()]
-    entries = [module.action((i, i)).diagonal_entries() for i in indices]
-    return indices, [tuple(d[pos] for d in entries) for pos in range(module.dimension)]
-
-
 def _weight_blocks(module: ExplicitModule, labels: Iterable[GeneratorLabel]
                    ) -> _WeightBlocks:
-    """The blocks of the algebra's diagonal generators, made once per module
-    and set of diagonal labels."""
-    diagonal = tuple(sorted({i for i, j in labels if i == j}))
+    """The blocks of the module's weights under the algebra's diagonal
+    generators, made once per module and set of diagonal labels; one block
+    when the module is ungraded."""
+    weights = module.weights
+    diagonal = () if weights is None else tuple(sorted({i for i, j in labels if i == j}))
     blocks = module._derived.get(diagonal)
     if blocks is None:
-        blocks = module._derived[diagonal] = _WeightBlocks(*_diagonal_weights(module, diagonal))
+        blocks = module._derived[diagonal] = _WeightBlocks(diagonal, [
+            tuple(w[i - 1] for i in diagonal) for w in weights or [()] * module.dimension])
     return blocks
 
 
@@ -550,14 +563,13 @@ def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
 def weight_decompose(module: ExplicitModule, h_labels: Sequence[GeneratorLabel]
                      ) -> dict[tuple[Fraction, ...], Subspace]:
     """Simultaneous eigenspace decomposition under diagonal generators
-    (i, i). Their action matrices must literally be diagonal (true on word
-    modules), so they commute; any other label is rejected.
+    (i, i), keyed by the carried weights under the increasing indices i;
+    any other label, or any label on an ungraded module, is rejected.
     """
-    indices, weights = _diagonal_weights(module, [i for i, j in h_labels if i == j])
+    blocks = _weight_blocks(module, h_labels)
     for i, j in h_labels:
-        if i != j or i not in indices:
+        if i != j or i not in blocks.indices:
             raise ValueError(f"generator {(i, j)} does not act diagonally")
-    blocks = _WeightBlocks(indices, weights)
     return {tuple(Fraction(x) for x in weight): _coordinate_subspace(module.dimension, members)
             for weight, members in zip(blocks.weights, blocks.positions)}
 
@@ -605,12 +617,7 @@ def _is_invariant(module: ExplicitModule, blocks: _WeightBlocks,
         if u is None or parts[u].dim == len(blocks.positions[u]):
             continue
         for vector in parts[b].basis:
-            image = zero_vec(len(blocks.positions[u]))
-            for pos, c in zip(blocks.positions[b], vector):
-                if c:
-                    for i, x in mat.cols.get(pos, {}).items():
-                        image[blocks.local[i]] += c * x
-            if not parts[u].contains(image):
+            if not parts[u].contains(blocks.image(mat, b, u, vector)):
                 return False
     return True
 

@@ -143,6 +143,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.budget < 1:
+        raise ValueError(f"budget must be positive, got {args.budget}")
     try:
         results = verify.run_suite(args.suite, budget=args.budget, seed=args.seed)
     except BudgetExceededError as exc:

@@ -231,15 +231,6 @@ class SparseMatrix:
                     out[i] += m * x
         return out
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.cols.get(j, {}).get(i, ZERO)
-
-    def is_diagonal(self) -> bool:
-        return all(set(col) <= {j} for j, col in self.cols.items())
-
-    def diagonal_entries(self) -> Vec:
-        return [self.entry(j, j) for j in range(self.dim)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix) or self.dim != other.dim:
             return False

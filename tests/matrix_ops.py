@@ -1,6 +1,6 @@
 """Sparse matrix arithmetic that only the tests need: products, sums and
 scalar multiples of mackey.linalg.SparseMatrix, for checking brackets and
-conjugating modules.
+conjugating modules, and the diagonal of a matrix, for checking weights.
 """
 
 from fractions import Fraction
@@ -33,3 +33,10 @@ def scaled(a: SparseMatrix, c) -> SparseMatrix:
     c = Fraction(c)
     return SparseMatrix(a.dim, {j: {i: c * v for i, v in col.items()}
                                 for j, col in a.cols.items()})
+
+
+def diagonal(a: SparseMatrix) -> list[Fraction] | None:
+    """The diagonal entries of a, or None when a has an entry off the diagonal."""
+    if any(set(col) != {j} for j, col in a.cols.items()):
+        return None
+    return [a.cols.get(j, {}).get(j, Fraction(0)) for j in range(a.dim)]

@@ -21,7 +21,7 @@ from mackey.brute import (
     young_project,
 )
 from mackey import brute
-from mackey.brute import _weight_blocks
+from mackey.brute import _WeightBlocks, _weight_blocks
 from mackey.linalg import (
     SparseMatrix,
     Subspace,
@@ -31,10 +31,10 @@ from mackey.linalg import (
     vec,
 )
 from mackey.partitions import EMPTY, Partition, partitions_up_to
-from mackey.verify import SOCLE_SHADOW_GRID
+from mackey.verify import SOCLE_SHADOW_GRID, socle_shadow_layer_dims
 
 from gl_weights import gl_highest_weight_count
-from matrix_ops import add, compose, scaled
+from matrix_ops import add, compose, diagonal, scaled
 
 P = Partition
 F = Fraction
@@ -79,7 +79,7 @@ def test_plain_slot_action():
 def test_diagonal_eigenvalues_on_square_of_dual():
     module = build_tensor_module(2, 2, 0)
     assert module.dimension == 4
-    eigenvalues = sorted(module.action((1, 1)).diagonal_entries())
+    eigenvalues = sorted(diagonal(module.action((1, 1))))
     assert eigenvalues == vec([-2, -1, -1, 0])
 
 
@@ -416,9 +416,14 @@ def test_vandermonde_rejects_repeats_and_non_eigenvectors():
 
 def test_restrict_module_rejects_non_invariant_subspace():
     module = build_tensor_module(2, 1, 0)
-    crooked = restrict_module(module, Subspace(2, [vec([1, 1])]))
-    with pytest.raises(ValueError):
-        crooked.action((1, 2))
+    # the crooked line is not a sum of weight vectors
+    with pytest.raises(ValueError, match="moved by a diagonal generator"):
+        restrict_module(module, Subspace(2, [vec([1, 1])]))
+    # span{e2*} is a weight line, but (1, 2) sends e2* to -e1*
+    line = restrict_module(module, Subspace(2, [unit_vec(2, 1)]))
+    assert line.action((2, 2)) == SparseMatrix(1, {0: {0: F(-1)}})
+    with pytest.raises(ValueError, match=r"not invariant under generator \(1, 2\)"):
+        line.action((1, 2))
 
 
 def test_constituent_count_matches_length_formula():
@@ -530,11 +535,26 @@ def dense_socle_filtration(module, para):
     return Filtration(steps)
 
 
+def dense_restrict(module, subspace):
+    """The module induced on an invariant subspace, by applying each matrix
+    to the whole ambient basis vectors and solving for their coordinates."""
+
+    def build(label):
+        ambient = module.action(label)
+        entries = []
+        for col, vector in enumerate(subspace.basis):
+            coords = subspace.coordinates(ambient.apply(vector))
+            entries.extend((row, col, c) for row, c in enumerate(coords) if c)
+        return SparseMatrix.from_entries(subspace.dim, entries)
+
+    return ExplicitModule(subspace.dim, module.rank_n, build)
+
+
 def dense_layer(module, low, high):
     """high/low as a module, with the map from vectors of high to it."""
     big, project = quotient_module(module, low)
     high_q = Subspace(big.dimension, [project(v) for v in high.basis])
-    return restrict_module(big, high_q), lambda v: high_q.coordinates(project(v))
+    return dense_restrict(big, high_q), lambda v: high_q.coordinates(project(v))
 
 
 def dense_constituent_count(module, para):
@@ -624,7 +644,8 @@ def test_graded_engine_matches_dense_without_diagonal_generators():
         u_inverse = add(u_inverse, term)
     assert compose(u, u_inverse) == identity
     twisted = conjugated(module, u, u_inverse)
-    assert not any(twisted.action((i, i)).is_diagonal() for i in range(1, 5))
+    assert twisted.weights is None
+    assert all(diagonal(twisted.action((i, i))) is None for i in range(1, 5))
     para = parabolic(4, 2)
     sym = young_project(module, P([2]), EMPTY)
     moved = Filtration([Subspace(dim, [u.apply(v) for v in sym.basis]), full_space(dim)])
@@ -636,25 +657,40 @@ def test_generator_that_breaks_the_grading_is_rejected():
     # (1, 1) acts as diag(1, 2), so (1, 2) must lower that weight by one,
     # but here it fixes the first basis vector
     mats = {(1, 1): SparseMatrix.diagonal([1, 2]), (1, 2): SparseMatrix(2, {0: {0: F(1)}})}
-    module = ExplicitModule(2, 2, lambda label: mats.get(label, SparseMatrix(2)))
+    module = ExplicitModule(2, 2, lambda label: mats.get(label, SparseMatrix(2)),
+                            weights=[(1, 0), (2, 0)])
     with pytest.raises(ValueError, match="shift weights"):
         socle_filtration_parabolic(module, parabolic(2, 1))
 
 
 # --- the word-module bypasses against the paths they bypass --------------------
 
+def assert_weights_are_the_diagonals(module):
+    """The weights the module carries are the eigenvalues of its (i, i)."""
+    for i in range(1, module.rank_n + 1):
+        assert diagonal(module.action((i, i))) == [w[i - 1] for w in module.weights], i
+
+
 def test_weights_read_off_the_words_match_the_diagonal_matrices():
     cases = [(n_rank, m, n) for n_rank in range(1, 5) for m in range(4)
              for n in range(4 - m)] + [(8, 1, 2)]
     for n_rank, m, n in cases:
         module = build_tensor_module(n_rank, m, n)
-        # the same matrices without the word labels
-        wrapped = ExplicitModule(module.dimension, n_rank, module.action)
+        assert_weights_are_the_diagonals(module)
+        diagonals = {i: diagonal(module.action((i, i))) for i in range(1, n_rank + 1)}
         for labels in [module.generator_labels(), [(n_rank, n_rank), (1, 1), (1, n_rank)]]:
-            words, matrices = _weight_blocks(module, labels), _weight_blocks(wrapped, labels)
-            assert words.indices == matrices.indices, (n_rank, m, n)
-            assert words.weights == matrices.weights, (n_rank, m, n)
-            assert words.positions == matrices.positions, (n_rank, m, n)
+            indices = sorted({i for i, j in labels if i == j})
+            read = _WeightBlocks(indices, [tuple(diagonals[i][pos] for i in indices)
+                                           for pos in range(module.dimension)])
+            blocks = _weight_blocks(module, labels)
+            assert blocks.indices == read.indices, (n_rank, m, n)
+            assert blocks.weights == read.weights, (n_rank, m, n)
+            assert blocks.positions == read.positions, (n_rank, m, n)
+    # restricted modules inherit the weights of their parents' blocks
+    module = build_tensor_module(4, 1, 2)
+    for space in [traceless_subspace(module), young_project(module, P([1]), P([2])),
+                  young_project(module, P([1]), P([1, 1]))]:
+        assert_weights_are_the_diagonals(restrict_module(module, space))
 
 
 def test_word_modules_are_graded_without_diagonal_matrices():
@@ -725,3 +761,54 @@ def test_essentiality_needs_a_parabolic_or_the_zero_algebra():
     full = full_space(2)
     with pytest.raises(ValueError):
         is_essential_filtration(module, Filtration([full]), [(1, 2)])
+
+
+# --- graded restriction against the dense one ----------------------------------
+
+def restriction_cases():
+    """The Young images of the socle grid and of the mixed modules with
+    N <= 4 and m + n <= 3, and the traceless subspaces of (3, 1, 1) and
+    (4, 1, 1), each with its module."""
+    for n_rank, b in SOCLE_SHADOW_GRID:
+        for lam in partitions_up_to(min(b, n_rank - b)):
+            module = build_tensor_module(n_rank, lam.size, 0)
+            yield module, young_project(module, lam, EMPTY)
+    for n_rank in range(1, 5):
+        for lam in partitions_up_to(3):
+            for mu in partitions_up_to(3 - lam.size):
+                if len(lam) + len(mu) <= n_rank:
+                    module = build_tensor_module(n_rank, lam.size, mu.size)
+                    yield module, young_project(module, lam, mu)
+    for n_rank in (3, 4):
+        module = build_tensor_module(n_rank, 1, 1)
+        yield module, traceless_subspace(module)
+
+
+def test_graded_restriction_matches_the_dense_one():
+    cases = 0
+    for module, space in restriction_cases():
+        graded, dense = restrict_module(module, space), dense_restrict(module, space)
+        assert graded.dimension == dense.dimension == space.dim
+        for label in module.generator_labels():
+            assert graded.action(label) == dense.action(label), (module, space, label)
+        assert_weights_are_the_diagonals(graded)
+        cases += 1
+    assert cases == 19 + 57 + 2
+
+
+def test_restriction_of_an_ungraded_module_is_ungraded():
+    line = restrict_module(zero_module(2), Subspace(2, [vec([1, 2])]))
+    assert line.weights is None and line.dimension == 1
+    assert line.action((1, 1)) == SparseMatrix(1)
+
+
+def test_degree_four_schur_shadow_at_the_stable_bound():
+    # m = |lambda| = 4 = min(b, N - b): the largest degree the shadow at
+    # (8, 4) can check
+    lam, para = P([2, 2]), parabolic(8, 4)
+    module = build_tensor_module(8, 4, 0)
+    schur = restrict_module(module, young_project(module, lam, EMPTY))
+    filtration = socle_filtration_parabolic(schur, para)
+    assert filtration.layer_dimensions() == socle_shadow_layer_dims(lam, 8, 4)
+    # the restricted module carries its weights, so no (i, i) is built on it
+    assert schur._cache and not [label for label in schur._cache if label[0] == label[1]]

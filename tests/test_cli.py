@@ -177,6 +177,20 @@ def test_verify_respects_budget_env(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_verify_rejects_a_nonpositive_budget_flag(capsys):
+    for budget in ("0", "-1"):
+        code, out, err = run_cli(capsys, "verify", "brute", "--budget", budget)
+        assert code == 2 and out == ""
+        assert err == f"error: budget must be positive, got {budget}\n"
+
+
+def test_verify_rejects_a_nonpositive_budget_env(capsys, monkeypatch):
+    monkeypatch.setenv("SOCLE_BUDGET", "0")
+    code, out, err = run_cli(capsys, "verify", "brute")
+    assert code == 2 and out == ""
+    assert err == "error: budget must be positive, got 0\n"
+
+
 def test_verify_budget_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("SOCLE_BUDGET", "not-a-number")
     # explicit flag: env var never consulted
