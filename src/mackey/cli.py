@@ -62,13 +62,18 @@ def _default_budget() -> int:
         raise SystemExit(USAGE_ERROR)
 
 
-def _print_int(value: int) -> None:
-    """Print an integer answer in full, or refuse one with more than
-    MAX_DIGITS digits: its conversion time grows quadratically, to seconds."""
-    digits = value.bit_length() * 1233 >> 12  # bits * log10(2), rounded down
+def _check_digits(bits: int) -> None:
+    """Refuse an answer of about `bits` bits if that is over MAX_DIGITS digits."""
+    digits = bits * 1233 >> 12  # bits * log10(2), rounded down
     if digits > MAX_DIGITS:
         raise ValueError(f"the answer has about {digits} digits, "
                          f"more than the {MAX_DIGITS} this command prints")
+
+
+def _print_int(value: int) -> None:
+    """Print an integer answer in full, or refuse one with more than
+    MAX_DIGITS digits: its conversion time grows quadratically, to seconds."""
+    _check_digits(value.bit_length())
     # Decimal formats past the interpreter's 4300-digit limit on str(int)
     print(Decimal(value))
 
@@ -107,6 +112,8 @@ def cmd_simple_length(args) -> int:
 
 
 def cmd_length(args) -> int:
+    if min(args.m, args.n) >= 0:  # the length is >= 2^m I(n) >= 2^(m + n//2)
+        _check_digits(args.m + args.n // 2)
     _print_int(tensor_length(args.m, args.n))
     return 0
 

@@ -15,6 +15,7 @@ power by simples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb, factorial
 
 from .partitions import Partition, partitions_of, syt_count
@@ -104,17 +105,23 @@ def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, i
 
     The multiplicity formula is standard Schur-Weyl bookkeeping for mixed
     tensors; the verify suite re-derives it from contraction-kernel ranks at
-    finite rank before anything downstream is trusted.
+    finite rank before anything downstream is trusted. Triples come by r,
+    then beta, then gamma, in partitions_of order; each depth builds one
+    multiplicity row per f_beta, shared by conjugate betas.
     """
     if p < 0 or q < 0:
         raise ValueError("tensor degrees must be nonnegative")
     out = []
     for r in range(min(p, q) + 1):
         pairings = comb(p, r) * comb(q, r) * factorial(r)
+        gammas = partitions_of(q - r)
+        f_gammas = list(map(syt_count, gammas))
+        rows = {}
         for beta in partitions_of(p - r):
-            for gamma in partitions_of(q - r):
-                out.append((beta, gamma,
-                            pairings * syt_count(beta) * syt_count(gamma)))
+            f_beta = syt_count(beta)
+            if f_beta not in rows:
+                rows[f_beta] = [pairings * f_beta * f for f in f_gammas]
+            out.extend(zip(repeat(beta), gammas, rows[f_beta]))
     return out
 
 
@@ -141,11 +148,12 @@ def tensor_length(m: int, n: int) -> int:
     involutions = [1, 1]
     for k in range(2, max(m, n) + 1):
         involutions.append(involutions[-1] + (k - 1) * involutions[-2])
-    total = 0
+    total, outer = 0, 1  # outer = C(m, m1), stepped along m1
     for m1 in range(m + 1):
         m2 = m - m1
         mixed_pieces = sum(comb(m2, r) * comb(n, r) * factorial(r)
                            * involutions[m2 - r] * involutions[n - r]
                            for r in range(min(m2, n) + 1))
-        total += comb(m, m1) * involutions[m1] * mixed_pieces
+        total += outer * involutions[m1] * mixed_pieces
+        outer = outer * m2 // (m1 + 1)
     return total

@@ -122,6 +122,18 @@ def test_too_long_an_answer_exits_2_with_its_size(capsys):
         "error: the answer has about 282658 digits, more than the 100000 this command prints"]
 
 
+def test_too_long_a_length_is_refused_before_it_is_computed(capsys):
+    # the length is at least 2^(m + n//2); computing it would run out of memory
+    for argv, digits in [(("--m", "100000000000", "--n", "0"), 30102539062),
+                         (("--m", "0", "--n", "200000000000"), 30102539062)]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "length", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: the answer has about {digits} digits, "
+                                    "more than the 100000 this command prints"]
+
+
 def test_one_long_row_is_answered(capsys):
     # 1100 cells: the LR enumeration keeps its own stack, so the length of
     # a row is not bounded by the recursion limit

@@ -1,5 +1,5 @@
 import json
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -79,10 +79,10 @@ def test_simple_length_independent_of_mu():
 
 def test_decompose_examples():
     assert decompose_mixed_tensor(0, 1) == [(EMPTY, P([1]), 1)]
-    assert set(decompose_mixed_tensor(1, 1)) == {
-        (P([1]), P([1]), 1), (EMPTY, EMPTY, 1)}
-    assert set(decompose_mixed_tensor(2, 1)) == {
-        (P([2]), P([1]), 1), (P([1, 1]), P([1]), 1), (P([1]), EMPTY, 2)}
+    assert decompose_mixed_tensor(1, 1) == [
+        (P([1]), P([1]), 1), (EMPTY, EMPTY, 1)]
+    assert decompose_mixed_tensor(2, 1) == [
+        (P([2]), P([1]), 1), (P([1, 1]), P([1]), 1), (P([1]), EMPTY, 2)]
 
 
 def test_decompose_rejects_negative():
@@ -115,6 +115,43 @@ def test_tensor_length_closed_form_matches_enumeration():
     for m in range(10):
         for n in range(10):
             assert tensor_length(m, n) == tensor_length_by_enumeration(m, n), (m, n)
+
+
+def tensor_length_by_binomials(m, n):
+    """The closed form with every binomial C(m, m1) computed afresh, the
+    reference for the stepped binomial of tensor_length."""
+    involutions = [1, 1]
+    for k in range(2, max(m, n) + 1):
+        involutions.append(involutions[-1] + (k - 1) * involutions[-2])
+    return sum(comb(m, m1) * involutions[m1]
+               * sum(comb(m - m1, r) * comb(n, r) * factorial(r)
+                     * involutions[m - m1 - r] * involutions[n - r]
+                     for r in range(min(m - m1, n) + 1))
+               for m1 in range(m + 1))
+
+
+def test_tensor_length_matches_the_unstepped_closed_form():
+    for m, n in [(200, 0), (0, 200), (60, 60), (37, 5), (1, 300)]:
+        assert tensor_length(m, n) == tensor_length_by_binomials(m, n), (m, n)
+
+
+def decompose_by_nested_loops(p, q):
+    """One triple at a time, f_beta and f_gamma looked up for each: the
+    reference for the shared multiplicity rows of decompose_mixed_tensor."""
+    out = []
+    for r in range(min(p, q) + 1):
+        pairings = comb(p, r) * comb(q, r) * factorial(r)
+        for beta in partitions_of(p - r):
+            for gamma in partitions_of(q - r):
+                out.append((beta, gamma,
+                            pairings * syt_count(beta) * syt_count(gamma)))
+    return out
+
+
+def test_decompose_matches_the_nested_loops_in_order():
+    grid = [(p, q) for p in range(11) for q in range(11)] + [(16, 12), (12, 16)]
+    for p, q in grid:
+        assert decompose_mixed_tensor(p, q) == decompose_by_nested_loops(p, q), (p, q)
 
 
 def test_socle_report_json_round_trip():
