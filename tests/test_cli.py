@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +94,21 @@ def test_coproduct_json(capsys):
     data = json.loads(out)
     assert len(data) == 6
     assert canonical_json(data) == out.strip()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("coproduct_321.txt", ["coproduct", "3,2,1"]),
+    ("coproduct_321.json", ["coproduct", "3,2,1", "--format", "json"]),
+    ("socle_321_1.json", ["socle", "--lambda", "3,2,1", "--mu", "1", "--format", "json"]),
+])
+def test_output_matches_the_golden_file(name, argv):
+    result = subprocess.run([sys.executable, "-m", "mackey", *argv],
+                            capture_output=True)
+    assert result.returncode == 0 and result.stderr == b""
+    assert result.stdout == (GOLDEN / name).read_bytes()
 
 
 def test_dim(capsys):
