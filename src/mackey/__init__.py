@@ -6,8 +6,6 @@ finite-rank engine.
 from .partitions import (
     EMPTY,
     Partition,
-    conjugate,
-    contains,
     dim_schur,
     format_partition,
     parse_partition,
@@ -16,10 +14,8 @@ from .partitions import (
 )
 from .symfunc import (
     SchurExpr,
-    TensorSchurExpr,
     coproduct,
     eval_schur,
-    homogeneous_component,
     lr_coefficient,
     schur_product,
 )
@@ -42,17 +38,13 @@ __all__ = [
     "SchurExpr",
     "SimpleConstituent",
     "SocleReport",
-    "TensorSchurExpr",
     "branching_identity_check",
-    "conjugate",
-    "contains",
     "coproduct",
     "decompose_mixed_tensor",
     "dim_mixed",
     "dim_schur",
     "eval_schur",
     "format_partition",
-    "homogeneous_component",
     "lr_coefficient",
     "parse_partition",
     "partitions_of",

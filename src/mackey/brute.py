@@ -1,6 +1,7 @@
 """Exact finite-rank oracle: explicit tensor modules over gl(N) with
 matrix-unit actions, traceless subspaces, Young symmetrizers, parabolic
-socle filtrations, weight decompositions, and essentiality checks.
+socle filtrations, constituent counts, and essentiality checks, all run
+block by block on the weight grading a module carries.
 
 Everything is over exact rationals; the point of this module is to be an
 independent numerical referee for the tableau combinatorics, so no result
@@ -558,20 +559,6 @@ def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
                 k for k, pos in enumerate(members) if grades[pos] <= step]))
             for members in blocks.positions])
         for step in range(module.star_slots + 1)])
-
-
-def weight_decompose(module: ExplicitModule, h_labels: Sequence[GeneratorLabel]
-                     ) -> dict[tuple[Fraction, ...], Subspace]:
-    """Simultaneous eigenspace decomposition under diagonal generators
-    (i, i), keyed by the carried weights under the increasing indices i;
-    any other label, or any label on an ungraded module, is rejected.
-    """
-    blocks = _weight_blocks(module, h_labels)
-    for i, j in h_labels:
-        if i != j or i not in blocks.indices:
-            raise ValueError(f"generator {(i, j)} does not act diagonally")
-    return {tuple(Fraction(x) for x in weight): _coordinate_subspace(module.dimension, members)
-            for weight, members in zip(blocks.weights, blocks.positions)}
 
 
 def vandermonde_span(components: Sequence[Sequence[Fraction]],

@@ -130,7 +130,8 @@ def cmd_coproduct(args) -> int:
     lam = _parse_partition_or_exit(args.lam, "lambda")
     delta = coproduct(lam)
     if args.format == "json":
-        print(canonical_json(delta.to_json()))
+        print(canonical_json([{"left": list(mu.parts), "right": list(nu.parts), "coeff": c}
+                              for (mu, nu), c in delta]))
     else:
         for (mu, nu), c in delta:
             print(f"{c} * ({format_partition(mu)}) (x) ({format_partition(nu)})")

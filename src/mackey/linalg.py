@@ -160,24 +160,6 @@ class Subspace:
             raise ValueError("vector not in subspace")
         return [v[p] for p in self.pivots]
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Standard kernel construction on stacked coefficient vectors."""
-        a, b = self.basis, other.basis
-        if not a or not b:
-            return Subspace(self.ambient)
-        # coefficients (y, z) with y.A = z.B, i.e. [A^T | -B^T] (y,z)^T = 0
-        rows = []
-        for j in range(self.ambient):
-            rows.append([ai[j] for ai in a] + [-bi[j] for bi in b])
-        combos = nullspace(rows, len(a) + len(b))
-        vecs = []
-        for combo in combos:
-            w = zero_vec(self.ambient)
-            for c, ai in zip(combo[: len(a)], a):
-                add_scaled(w, ai, c)
-            vecs.append(w)
-        return Subspace(self.ambient, vecs)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
                 and self.basis == other.basis)

@@ -24,7 +24,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = []
+        parts, ps = tuple(parts), []  # read once: a generator is consumed
         for p in parts:
             if isinstance(p, bool) or not isinstance(p, int):
                 raise TypeError(f"partition parts must be integers, got {p!r}")
@@ -106,14 +106,6 @@ class Partition:
 
 
 EMPTY = Partition()
-
-
-def conjugate(lam: Partition) -> Partition:
-    return lam.conjugate()
-
-
-def contains(lam: Partition, mu: Partition) -> bool:
-    return lam.contains(mu)
 
 
 @cache

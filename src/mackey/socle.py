@@ -43,11 +43,6 @@ class SimpleConstituent:
             "mult": self.multiplicity,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SimpleConstituent":
-        return cls(Partition(data["alpha"]), Partition(data["beta"]),
-                   Partition(data["mu"]), data["mult"])
-
 
 @dataclass(frozen=True)
 class SocleReport:
@@ -66,15 +61,6 @@ class SocleReport:
             "mu": list(self.mu.parts),
             "layers": [[c.to_json() for c in layer] for layer in self.layers],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SocleReport":
-        return cls(
-            Partition(data["lambda"]),
-            Partition(data["mu"]),
-            tuple(tuple(SimpleConstituent.from_json(c) for c in layer)
-                  for layer in data["layers"]),
-        )
 
 
 def socle_layers(lam: Partition, mu: Partition) -> SocleReport:
@@ -151,9 +137,10 @@ def tensor_length(m: int, n: int) -> int:
     total, outer = 0, 1  # outer = C(m, m1), stepped along m1
     for m1 in range(m + 1):
         m2 = m - m1
-        mixed_pieces = sum(comb(m2, r) * comb(n, r) * factorial(r)
-                           * involutions[m2 - r] * involutions[n - r]
-                           for r in range(min(m2, n) + 1))
+        mixed_pieces, pairings = 0, 1  # pairings = C(m2, r) C(n, r) r!, stepped along r
+        for r in range(min(m2, n) + 1):
+            mixed_pieces += pairings * involutions[m2 - r] * involutions[n - r]
+            pairings = pairings * (m2 - r) * (n - r) // (r + 1)
         total += outer * involutions[m1] * mixed_pieces
         outer = outer * m2 // (m1 + 1)
     return total

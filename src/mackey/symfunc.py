@@ -23,19 +23,22 @@ from .partitions import Partition, partitions_of
 
 
 class SchurExpr:
-    """Finitely supported integer combination of partitions (Schur basis)."""
+    """Finitely supported integer combination of Schur basis keys: partitions
+    (an element of Sym) or ordered pairs of them (an element of Sym (x) Sym).
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Partition, int] | Iterable[tuple[Partition, int]] = ()):
-        self.terms = {lam: c for lam, c in dict(terms).items() if c}
+    def __init__(self, terms: dict | Iterable[tuple] = ()):
+        self.terms = {key: c for key, c in dict(terms).items() if c}
 
-    def coefficient(self, lam: Partition) -> int:
-        return self.terms.get(lam, 0)
+    def coefficient(self, key: Partition | tuple[Partition, Partition]) -> int:
+        return self.terms.get(key, 0)
 
-    def __iter__(self) -> Iterator[tuple[Partition, int]]:
-        """Terms in deterministic order: degree, then lex on parts."""
-        return iter(sorted(self.terms.items(), key=lambda t: t[0].sort_key()))
+    def __iter__(self) -> Iterator[tuple]:
+        """Terms in deterministic order: by degree, then lex on parts, of
+        the partition, or of the left then the right one of a pair."""
+        return iter(sorted(self.terms.items(), key=_term_order))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -46,49 +49,12 @@ class SchurExpr:
     def __repr__(self) -> str:
         return f"SchurExpr({self.terms!r})"
 
-    def to_json(self) -> list[dict]:
-        return [{"partition": list(lam.parts), "coeff": c} for lam, c in self]
 
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "SchurExpr":
-        return cls({Partition(item["partition"]): item["coeff"] for item in data})
-
-
-class TensorSchurExpr:
-    """Integer combination of ordered partition pairs (element of Sym (x) Sym)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[Partition, Partition], int]
-                 | Iterable[tuple[tuple[Partition, Partition], int]] = ()):
-        self.terms = {key: c for key, c in dict(terms).items() if c}
-
-    def coefficient(self, mu: Partition, nu: Partition) -> int:
-        return self.terms.get((mu, nu), 0)
-
-    def __iter__(self) -> Iterator[tuple[tuple[Partition, Partition], int]]:
-        return iter(sorted(
-            self.terms.items(),
-            key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()),
-        ))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorSchurExpr) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"TensorSchurExpr({self.terms!r})"
-
-    def to_json(self) -> list[dict]:
-        return [{"left": list(mu.parts), "right": list(nu.parts), "coeff": c}
-                for (mu, nu), c in self]
-
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "TensorSchurExpr":
-        return cls({(Partition(item["left"]), Partition(item["right"])): item["coeff"]
-                    for item in data})
+def _term_order(term: tuple) -> tuple:
+    key = term[0]
+    if isinstance(key, Partition):
+        return key.sort_key()
+    return (key[0].sort_key(), key[1].sort_key())
 
 
 # functools.cache is safe for concurrent readers/writers under CPython's lock;
@@ -155,7 +121,7 @@ def schur_product(mu: Partition, nu: Partition) -> SchurExpr:
 
 
 @cache
-def coproduct(lam: Partition) -> TensorSchurExpr:
+def coproduct(lam: Partition) -> SchurExpr:
     """Delta(s_lam) = sum over mu contained in lam of s_mu (x) s_{lam/mu},
     with the skew expansion read off from LR coefficients.
     """
@@ -168,16 +134,7 @@ def coproduct(lam: Partition) -> TensorSchurExpr:
                 c = lr_coefficient(lam, mu, nu)
                 if c:
                     out[(mu, nu)] = c
-    return TensorSchurExpr(out)
-
-
-def homogeneous_component(f: TensorSchurExpr, k: int, side: str) -> TensorSchurExpr:
-    """Terms of f whose chosen-side partition has size exactly k."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    pick = 0 if side == "left" else 1
-    return TensorSchurExpr({key: c for key, c in f.terms.items()
-                            if key[pick].size == k})
+    return SchurExpr(out)
 
 
 def _complete_homogeneous(point: Sequence[Fraction], max_degree: int) -> list[Fraction]:

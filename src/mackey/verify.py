@@ -88,7 +88,7 @@ def _symmetry_failures(max_size: int) -> tuple[int, list[str]]:
         delta = symfunc.coproduct(lam)
         for (mu, nu), c in delta:
             cases += 1
-            if delta.coefficient(nu, mu) != c:
+            if delta.coefficient((nu, mu)) != c:
                 failures.append(f"lambda={lam}, mu={mu}, nu={nu}")
     return cases, failures
 
@@ -103,7 +103,7 @@ def _duality_failures(max_size: int) -> tuple[int, list[str]]:
                     prod = symfunc.schur_product(mu, nu)
                     for lam in partitions_of(total):
                         cases += 1
-                        if prod.coefficient(lam) != symfunc.coproduct(lam).coefficient(mu, nu):
+                        if prod.coefficient(lam) != symfunc.coproduct(lam).coefficient((mu, nu)):
                             failures.append(f"lambda={lam}, mu={mu}, nu={nu}")
     return cases, failures
 

@@ -1,11 +1,12 @@
-"""Sparse matrix arithmetic that only the tests need: products, sums and
-scalar multiples of mackey.linalg.SparseMatrix, for checking brackets and
-conjugating modules, and the diagonal of a matrix, for checking weights.
+"""Linear algebra that only the tests need: products, sums and scalar
+multiples of mackey.linalg.SparseMatrix, for checking brackets and
+conjugating modules, the diagonal of a matrix, for checking weights, and
+the intersection of two subspaces.
 """
 
 from fractions import Fraction
 
-from mackey.linalg import SparseMatrix
+from mackey.linalg import SparseMatrix, Subspace, add_scaled, nullspace, zero_vec
 
 
 def compose(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -40,3 +41,20 @@ def diagonal(a: SparseMatrix) -> list[Fraction] | None:
     if any(set(col) != {j} for j, col in a.cols.items()):
         return None
     return [a.cols.get(j, {}).get(j, Fraction(0)) for j in range(a.dim)]
+
+
+def intersection(a: Subspace, b: Subspace) -> Subspace:
+    """a meet b, by the standard kernel construction on stacked coefficient
+    vectors."""
+    if not a.basis or not b.basis:
+        return Subspace(a.ambient)
+    # coefficients (y, z) with y.A = z.B, i.e. [A^T | -B^T] (y,z)^T = 0
+    rows = [[ai[j] for ai in a.basis] + [-bi[j] for bi in b.basis]
+            for j in range(a.ambient)]
+    vecs = []
+    for combo in nullspace(rows, a.dim + b.dim):
+        w = zero_vec(a.ambient)
+        for c, ai in zip(combo[:a.dim], a.basis):
+            add_scaled(w, ai, c)
+        vecs.append(w)
+    return Subspace(a.ambient, vecs)

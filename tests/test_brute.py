@@ -17,7 +17,6 @@ from mackey.brute import (
     traceless_dimension,
     traceless_subspace,
     vandermonde_span,
-    weight_decompose,
     young_project,
 )
 from mackey import brute
@@ -34,7 +33,7 @@ from mackey.partitions import EMPTY, Partition, partitions_up_to
 from mackey.verify import SOCLE_SHADOW_GRID, socle_shadow_layer_dims
 
 from gl_weights import gl_highest_weight_count
-from matrix_ops import add, compose, diagonal, scaled
+from matrix_ops import add, compose, diagonal, intersection, scaled
 
 P = Partition
 F = Fraction
@@ -349,7 +348,7 @@ def test_grade_filtration_meets_traceless():
     module = build_tensor_module(4, 1, 1)
     p = parabolic(4, 2)
     t = traceless_subspace(module)
-    steps = [step.intersection(t) for step in grade_filtration(module, p)]
+    steps = [intersection(step, t) for step in grade_filtration(module, p)]
     assert [s.dim for s in steps] == [7, 15]
     chain = Filtration(steps)
     for step in chain:
@@ -359,36 +358,36 @@ def test_grade_filtration_meets_traceless():
                 assert step.contains(a.apply(v))
 
 
-# --- weight decomposition and Vandermonde spans -----------------------------
+# --- weight blocks and Vandermonde spans ------------------------------------
+
+def weight_dims(module, labels):
+    blocks = _weight_blocks(module, labels)
+    return {weight: len(members) for weight, members in zip(blocks.weights, blocks.positions)}
+
 
 def test_weight_decompose_dual_vector_module():
     module = build_tensor_module(2, 1, 0)
-    decomposition = weight_decompose(module, [(1, 1), (2, 2)])
-    dims = {weight: space.dim for weight, space in decomposition.items()}
-    assert dims == {(F(-1), F(0)): 1, (F(0), F(-1)): 1}
+    assert weight_dims(module, [(1, 1), (2, 2)]) == {(-1, 0): 1, (0, -1): 1}
 
 
 def test_weight_decompose_square():
     module = build_tensor_module(2, 2, 0)
-    decomposition = weight_decompose(module, [(1, 1), (2, 2)])
-    dims = {weight: space.dim for weight, space in decomposition.items()}
-    assert dims == {(F(-2), F(0)): 1, (F(-1), F(-1)): 2, (F(0), F(-2)): 1}
+    dims = weight_dims(module, [(1, 1), (2, 2)])
+    assert dims == {(-2, 0): 1, (-1, -1): 2, (0, -2): 1}
     assert sum(dims.values()) == module.dimension
 
 
 def test_weight_decompose_traceless_adjoint():
     module = build_tensor_module(3, 1, 1)
-    t = traceless_subspace(module)
-    sub = restrict_module(module, t)
-    decomposition = weight_decompose(sub, [(1, 1), (2, 2), (3, 3)])
-    zero = decomposition[(F(0), F(0), F(0))]
-    assert zero.dim == 2
+    sub = restrict_module(module, traceless_subspace(module))
+    assert weight_dims(sub, [(1, 1), (2, 2), (3, 3)])[(0, 0, 0)] == 2
 
 
 def test_weight_decompose_rejects_non_diagonal():
+    # a label off the diagonal does not grade: the module stays one block
     module = build_tensor_module(2, 1, 0)
-    with pytest.raises(ValueError):
-        weight_decompose(module, [(1, 2)])
+    blocks = _weight_blocks(module, [(1, 2)])
+    assert blocks.indices == [] and blocks.positions == [[0, 1]]
 
 
 def test_vandermonde_span_examples():
@@ -699,7 +698,7 @@ def test_word_modules_are_graded_without_diagonal_matrices():
     socle_filtration_parabolic(module, para)
     grade_filtration(module, para)
     young_project(module, P([1, 1]), P([1]))
-    weight_decompose(module, [(1, 1), (3, 3)])
+    _weight_blocks(module, [(1, 1), (3, 3)])
     assert module._cache and not [label for label in module._cache if label[0] == label[1]]
 
 

@@ -13,7 +13,7 @@ from mackey.linalg import (
     vec,
 )
 
-from matrix_ops import compose, diagonal
+from matrix_ops import compose, diagonal, intersection
 
 F = Fraction
 
@@ -52,11 +52,11 @@ def test_subspace_sum_and_intersection():
     a = Subspace(3, [vec([1, 0, 0]), vec([0, 1, 0])])
     b = Subspace(3, [vec([0, 1, 0]), vec([0, 0, 1])])
     assert Subspace(3, a.basis + b.basis).dim == 3
-    meet = a.intersection(b)
+    meet = intersection(a, b)
     assert meet.dim == 1
     assert meet.contains(vec([0, 5, 0]))
     zero = Subspace(3)
-    assert a.intersection(zero).dim == 0
+    assert intersection(a, zero).dim == 0
 
 
 def test_subspace_from_blocks_is_the_echelon_basis_of_the_sum():

@@ -36,8 +36,11 @@ def test_normalization_strips_zeros():
 
 
 def test_rejects_bad_parts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)$"):
         Partition([1, 2])
+    # a generator is read once, and the message names the parts it gave
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)$"):
+        Partition(x for x in [1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
     with pytest.raises(TypeError):

@@ -1,14 +1,10 @@
 from fractions import Fraction
 
-import pytest
-
 from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from mackey.symfunc import (
     SchurExpr,
-    TensorSchurExpr,
     coproduct,
     eval_schur,
-    homogeneous_component,
     lr_coefficient,
     schur_product,
 )
@@ -90,16 +86,16 @@ def test_schur_product_support_degree():
 
 
 def test_coproduct_group_like_unit():
-    assert coproduct(EMPTY) == TensorSchurExpr({(EMPTY, EMPTY): 1})
+    assert coproduct(EMPTY) == SchurExpr({(EMPTY, EMPTY): 1})
 
 
 def test_coproduct_primitive_degree_one():
-    assert coproduct(P([1])) == TensorSchurExpr(
+    assert coproduct(P([1])) == SchurExpr(
         {(P([1]), EMPTY): 1, (EMPTY, P([1])): 1})
 
 
 def test_coproduct_staircase():
-    expected = TensorSchurExpr({
+    expected = SchurExpr({
         (P([2, 1]), EMPTY): 1,
         (P([2]), P([1])): 1,
         (P([1, 1]), P([1])): 1,
@@ -129,22 +125,6 @@ def test_counit_small():
         assert {mu: c for (mu, nu), c in delta if nu == EMPTY} == {lam: 1}
 
 
-def test_homogeneous_component():
-    delta = coproduct(P([2, 1]))
-    assert homogeneous_component(delta, 0, "left") == \
-        TensorSchurExpr({(EMPTY, P([2, 1])): 1})
-    assert homogeneous_component(delta, 1, "left") == \
-        TensorSchurExpr({(P([1]), P([2])): 1, (P([1]), P([1, 1])): 1})
-    assert homogeneous_component(delta, 3, "left") == \
-        TensorSchurExpr({(P([2, 1]), EMPTY): 1})
-    assert homogeneous_component(coproduct(P([1])), 0, "left") == \
-        TensorSchurExpr({(EMPTY, P([1])): 1})
-    assert homogeneous_component(delta, 2, "right") == \
-        TensorSchurExpr({(P([1]), P([2])): 1, (P([1]), P([1, 1])): 1})
-    with pytest.raises(ValueError):
-        homogeneous_component(delta, 1, "middle")
-
-
 def test_eval_schur_basics():
     assert eval_schur(EMPTY, (Fraction(7), Fraction(2))) == 1
     assert eval_schur(P([1]), (2, 3)) == 5
@@ -168,13 +148,18 @@ def test_eval_schur_multiplicative():
                 assert lhs == eval_schur(mu, point) * eval_schur(nu, point)
 
 
-def test_schur_expr_json_round_trip():
-    expr = schur_product(P([2, 1]), P([1, 1]))
-    assert SchurExpr.from_json(expr.to_json()) == expr
-    delta = coproduct(P([2, 2]))
-    assert TensorSchurExpr.from_json(delta.to_json()) == delta
+def test_expr_iterates_by_degree_then_parts_on_either_key():
+    expr = SchurExpr({P([1, 1]): 2, P([3]): 1, P([2]): 5, EMPTY: 4})
+    assert list(expr) == [(EMPTY, 4), (P([1, 1]), 2), (P([2]), 5), (P([3]), 1)]
+    assert expr.coefficient(P([2])) == 5 and expr.coefficient(P([1])) == 0
+    pairs = SchurExpr({(P([1]), P([1])): 3, (EMPTY, P([2])): 1, (P([1]), EMPTY): 2,
+                       (EMPTY, P([1, 1])): 6})
+    assert [key for key, _ in pairs] == [(EMPTY, P([1, 1])), (EMPTY, P([2])),
+                                         (P([1]), EMPTY), (P([1]), P([1]))]
+    assert pairs.coefficient((P([1]), P([1]))) == 3
+    assert pairs.coefficient((P([1]), P([2]))) == 0
 
 
 def test_expr_drops_zero_coefficients():
     assert SchurExpr({P([1]): 0}) == SchurExpr()
-    assert len(TensorSchurExpr({(P([1]), EMPTY): 0})) == 0
+    assert len(SchurExpr({(P([1]), EMPTY): 0})) == 0
