@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from mackey.brute import _WeightBlocks, _weight_blocks
 from mackey.linalg import (
     SparseMatrix,
     Subspace,
+    dump_matrix,
     full_space,
     nullspace,
     unit_vec,
@@ -467,6 +470,38 @@ def test_dump_filtration_format():
     assert lines[0] == "# step 0 dim 1"
     assert lines[1] == "1/1 0/1 0/1"
     assert "# step 1 dim 3" in lines
+
+
+# --- the brute outputs, byte for byte ------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def young_bases_text():
+    module = build_tensor_module(3, 2, 1)
+    out = []
+    for lam in (P([2]), P([1, 1])):
+        space = young_project(module, lam, P([1]))
+        out.append(f"# lambda {lam.parts} mu (1,) dim {space.dim}\n" + dump_matrix(space.basis))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("socle_filtration_4_2_2.txt", lambda: dump_filtration(
+        socle_filtration_parabolic(build_tensor_module(4, 2, 0), parabolic(4, 2)))),
+    ("traceless_3_1_1.txt", lambda: dump_matrix(
+        traceless_subspace(build_tensor_module(3, 1, 1)).basis) + "\n"),
+    ("young_3_2_1.txt", young_bases_text),
+])
+def test_brute_output_matches_the_golden_file(name, text):
+    assert text() == (GOLDEN / name).read_text()
+
+
+def test_socle_filtration_of_the_6_3_3_module_is_pinned():
+    text = dump_filtration(socle_filtration_parabolic(build_tensor_module(6, 3, 0),
+                                                      parabolic(6, 3)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9adac3afc3c8908a2230bc86659b82235f3f5734a428feb8a93e950f8dc1ba6d")
 
 
 # --- the weight-graded engine against the dense algorithms -------------------
