@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, permutations, product
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
@@ -31,13 +32,12 @@ from .linalg import (
     ZERO,
     SparseMatrix,
     Subspace,
-    Vec,
-    add_scaled,
+    add_multiple,
     dump_matrix,
     full_space,
+    integer_rows,
     nullspace,
     rank,
-    unit_vec,
     zero_vec,
 )
 from .partitions import Partition
@@ -166,13 +166,15 @@ def restrict_module(module: ExplicitModule, subspace: Subspace) -> ExplicitModul
         for b, u in enumerate(blocks.targets(module, label)):
             if u is None:
                 continue
-            for col, vector in zip(number[b], parts[b].basis):
+            for col, pivot in zip(number[b], parts[b].pivots):
+                # the basis vector is the echelon row divided by its pivot
+                row = parts[b].echelon[pivot]
                 try:
-                    coords = parts[u].coordinates(blocks.image(mat, b, u, vector))
+                    coords = parts[u].coordinates(blocks.image(mat, b, row))
                 except ValueError:
                     raise ValueError(
                         f"subspace is not invariant under generator {label}") from None
-                entries.extend((row, col, c) for row, c in zip(number[u], coords) if c)
+                entries.extend((r, col, c / row[pivot]) for r, c in zip(number[u], coords) if c)
         return SparseMatrix.from_entries(subspace.dim, entries)
 
     weights = None if module.weights is None else [
@@ -190,7 +192,7 @@ def _require_words(module: ExplicitModule) -> list[tuple[int, ...]]:
 
 
 def _contraction_rows(words: Sequence[tuple[int, ...]], m: int, n: int,
-                      members: Sequence[int]) -> list[Vec]:
+                      members: Sequence[int]) -> list[list[Fraction]]:
     """The contraction constraints restricted to one weight block of word
     positions. Contractions preserve weight, so the joint kernel splits over
     the blocks.
@@ -209,6 +211,11 @@ def _contraction_rows(words: Sequence[tuple[int, ...]], m: int, n: int,
             for key in sorted(rows)]
 
 
+def _kernel_space(rows: Sequence, size: int) -> Subspace:
+    """The joint kernel of the functionals on Q^size, as a subspace."""
+    return Subspace(size, nullspace(rows, size)) if rows else full_space(size)
+
+
 def traceless_subspace(module: ExplicitModule) -> Subspace:
     """Joint kernel of all m*n contraction maps, as a subspace of the word
     module. Computed once per module, as a sum over the gl(N) weight blocks,
@@ -218,9 +225,9 @@ def traceless_subspace(module: ExplicitModule) -> Subspace:
     if space is None:
         words = _require_words(module)
         space = module._derived["traceless"] = Subspace.from_blocks(module.dimension, [
-            (members, Subspace(len(members), nullspace(
+            (members, _kernel_space(
                 _contraction_rows(words, module.star_slots, module.plain_slots, members),
-                len(members))))
+                len(members)))
             for members in _weight_blocks(module, module.generator_labels()).positions])
     return space
 
@@ -273,11 +280,33 @@ def _symmetrizer_terms(shape: Partition) -> list[tuple[tuple[int, ...], int]]:
     return terms
 
 
+def _slot_table(module: ExplicitModule, blocks: _WeightBlocks,
+                perm: tuple[int, ...]) -> list[int]:
+    """The slot permutation acting on whole words, as a table from word
+    positions to the positions of the moved words within their weight
+    blocks; made once per module and permutation."""
+    key = ("slots", perm)
+    table = module._derived.get(key)
+    if table is None:
+        words = _require_words(module)
+        index = module._derived.get("index")
+        if index is None:
+            index = module._derived["index"] = {w: pos for pos, w in enumerate(words)}
+        table = module._derived[key] = []
+        for word in words:
+            moved = [0] * len(word)
+            for s, target in enumerate(perm):
+                moved[target] = word[s]
+            table.append(blocks.local[index[tuple(moved)]])
+    return table
+
+
 def young_project(module: ExplicitModule, lam: Partition, mu: Partition) -> Subspace:
     """Image of the Young symmetrizer pair (lam on starred slots, mu on
     plain slots) applied to the traceless subspace of the module. Slot
     permutations keep the weight of a word, so the image is taken weight
-    block by weight block.
+    block by weight block, on the integer echelon rows of the traceless
+    parts.
     """
     m, n = module.star_slots, module.plain_slots
     if lam.size != m or mu.size != n:
@@ -286,31 +315,20 @@ def young_project(module: ExplicitModule, lam: Partition, mu: Partition) -> Subs
     traceless = traceless_subspace(module)
     blocks = _weight_blocks(module, module.generator_labels())
     plain_terms = _symmetrizer_terms(mu)
-    words = _require_words(module)
-    index = {w: pos for pos, w in enumerate(words)}
-    # combined slot permutations acting on whole words, with total signs,
-    # each as a table from word positions to positions within their blocks
-    perm_tables = []
-    for sp, ssign in _symmetrizer_terms(lam):
-        for pp, psign in plain_terms:
-            perm = list(sp) + [m + s for s in pp]
-            table = []
-            for word in words:
-                moved = [0] * len(word)
-                for s, target in enumerate(perm):
-                    moved[target] = word[s]
-                table.append(blocks.local[index[tuple(moved)]])
-            perm_tables.append((table, ssign * psign))
+    # combined slot permutations acting on whole words, with total signs
+    terms = [(_slot_table(module, blocks, sp + tuple(m + s for s in pp)), ssign * psign)
+             for sp, ssign in _symmetrizer_terms(lam) for pp, psign in plain_terms]
     projected = []
     for members, part in zip(traceless.blocks, traceless.parts):
         images = []
-        for vector in part.basis:
-            out = zero_vec(len(members))
-            for table, sign in perm_tables:
-                for k, c in enumerate(vector):
-                    if c:
-                        out[table[members[k]]] += c if sign > 0 else -c
-            images.append(out)
+        for row in part.echelon.values():
+            entries = [(members[k], c) for k, c in row.items()]
+            image: dict[int, int] = {}
+            for table, sign in terms:
+                for pos, c in entries:
+                    at = table[pos]
+                    image[at] = image.get(at, 0) + (c if sign > 0 else -c)
+            images.append(image)
         projected.append(Subspace(len(members), images))
     return Subspace.from_blocks(module.dimension, zip(traceless.blocks, projected))
 
@@ -424,14 +442,15 @@ class _WeightBlocks:
             self._targets[label] = found
         return found
 
-    def image(self, mat: SparseMatrix, b: int, u: int, vector: Sequence[Fraction]) -> Vec:
-        """The image under the matrix of a vector of block b, given and
-        returned in local coordinates, when the matrix maps b into u."""
-        image = zero_vec(len(self.positions[u]))
-        for pos, c in zip(self.positions[b], vector):
-            if c:
-                for i, x in mat.cols.get(pos, {}).items():
-                    image[self.local[i]] += c * x
+    def image(self, mat: SparseMatrix, b: int, row: dict[int, int]) -> dict[int, Fraction]:
+        """The image under the matrix of a sparse row of block b, given and
+        returned in local coordinates (of the block the matrix maps b into)."""
+        image: dict[int, Fraction] = {}
+        positions, local = self.positions[b], self.local
+        for k, c in row.items():
+            for i, x in mat.cols.get(positions[k], {}).items():
+                at = local[i]
+                image[at] = image.get(at, 0) + c * x
         return image
 
     def split(self, space: Subspace) -> list[Subspace]:
@@ -442,15 +461,16 @@ class _WeightBlocks:
         """
         if space.blocks == self.positions:
             return space.parts
-        rows: list[list[Vec]] = [[] for _ in self.positions]
-        for vector, pivot in zip(space.basis, space.pivots):
-            b = self.block_of[pivot]
-            local = [vector[pos] for pos in self.positions[b]]
-            # every nonzero entry of the row must lie in its pivot's block
-            if len(vector) - vector.count(ZERO) != len(local) - local.count(ZERO):
+        block_of, local = self.block_of, self.local
+        parts: list[dict] = [{} for _ in self.positions]
+        for pivot, row in space.echelon.items():
+            b = block_of[pivot]
+            if any(block_of[k] != b for k in row):
                 raise ValueError("subspace is moved by a diagonal generator")
-            rows[b].append(local)
-        return [Subspace(len(members), part) for members, part in zip(self.positions, rows)]
+            # positions increase within a block, so the row stays in echelon form
+            parts[b][local[pivot]] = {local[k]: x for k, x in row.items()}
+        return [Subspace._of_echelon(len(members), part)
+                for members, part in zip(self.positions, parts)]
 
 
 def _weight_blocks(module: ExplicitModule, labels: Iterable[GeneratorLabel]
@@ -467,22 +487,30 @@ def _weight_blocks(module: ExplicitModule, labels: Iterable[GeneratorLabel]
     return blocks
 
 
-def _invariance_rows(dense: Sequence[Vec], base: Subspace) -> list[Vec]:
-    """Functionals cutting out {v : A v in base}, A given by its dense rows:
-    the coordinates of A v modulo base that are not pivots of base.
+def _invariance_rows(rows: Sequence[dict[int, int]], base: Subspace) -> list[dict[int, int]]:
+    """Functionals cutting out {v : A v in base}, A given by its sparse
+    integer rows: the coordinates of A v modulo base that are not pivots of
+    base, each scaled to integers. With base's basis vectors b_p = e_p / e_p[p]
+    the functional of q is A_q - sum_p (e_p[q] / e_p[p]) A_p.
     """
-    pivots = set(base.pivots)
-    rows = []
-    for q, row in enumerate(dense):
-        if q in pivots:
+    echelon = base.echelon
+    terms: dict[int, list[tuple[int, int, int]]] = {}
+    for p, e in echelon.items():
+        for q, x in e.items():
+            if q != p:
+                terms.setdefault(q, []).append((p, x, e[p]))
+    functionals = []
+    for q, row in enumerate(rows):
+        if q in echelon:
             continue
-        row = list(row)
-        for pivot, bvec in zip(base.pivots, base.basis):
-            if bvec[q]:
-                add_scaled(row, dense[pivot], -bvec[q])
-        if any(row):
-            rows.append(row)
-    return rows
+        if q in terms:
+            scale = lcm(*[d for _, _, d in terms[q]])
+            row = {k: scale * x for k, x in row.items()}
+            for p, x, d in terms[q]:
+                add_multiple(row, -(scale // d * x), rows[p])
+        if row:
+            functionals.append(row)
+    return functionals
 
 
 def _kernel(module: ExplicitModule, blocks: _WeightBlocks,
@@ -502,13 +530,13 @@ def _kernel(module: ExplicitModule, blocks: _WeightBlocks,
             parts.append(low[b])
             continue
         rows = [] if upper is None else _invariance_rows(
-            [unit_vec(size, k) for k in range(size)], upper)
+            [{k: 1} for k in range(size)], upper)
         for mat, targets in actions:
             u = targets[b]
             if u is not None and low[u].dim < len(blocks.positions[u]):
                 dense = mat.to_dense_rows(blocks.positions[u], members)
-                rows.extend(_invariance_rows(dense, low[u]))
-        parts.append(Subspace(size, nullspace(rows, size)))
+                rows.extend(_invariance_rows(integer_rows(dense), low[u]))
+        parts.append(_kernel_space(rows, size))
     return parts
 
 
@@ -603,8 +631,8 @@ def _is_invariant(module: ExplicitModule, blocks: _WeightBlocks,
     for b, u in enumerate(blocks.targets(module, label)):
         if u is None or parts[u].dim == len(blocks.positions[u]):
             continue
-        for vector in parts[b].basis:
-            if not parts[u].contains(blocks.image(mat, b, u, vector)):
+        for row in parts[b].echelon.values():
+            if not parts[u].contains(blocks.image(mat, b, row)):
                 return False
     return True
 

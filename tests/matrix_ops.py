@@ -1,12 +1,74 @@
 """Linear algebra that only the tests need: products, sums and scalar
 multiples of mackey.linalg.SparseMatrix, for checking brackets and
-conjugating modules, the diagonal of a matrix, for checking weights, and
-the intersection of two subspaces.
+conjugating modules, the diagonal of a matrix, for checking weights, the
+intersection of two subspaces, and the dense Fraction elimination that
+mackey.linalg's integer kernel replaced, kept as its reference.
 """
 
 from fractions import Fraction
 
-from mackey.linalg import SparseMatrix, Subspace, add_scaled, nullspace, zero_vec
+from mackey.linalg import ONE, SparseMatrix, Subspace, nullspace, zero_vec
+
+
+def add_scaled(target, source, c) -> None:
+    """target += c * source, in place."""
+    if c == 0:
+        return
+    for i, s in enumerate(source):
+        if s:
+            target[i] += c * s
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by Fraction arithmetic on dense rows.
+    Returns (nonzero rows, pivot columns)."""
+    echelon = []
+    pivots = []
+    for row in rows:
+        r = list(row)
+        for e, p in zip(echelon, pivots):
+            if r[p]:
+                add_scaled(r, e, -r[p])
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is None:
+            continue
+        pv = r[lead]
+        if pv != 1:
+            r = [x / pv for x in r]
+        for e, p in zip(echelon, pivots):
+            if e[lead]:
+                add_scaled(e, r, -e[lead])
+        # keep pivot columns sorted so bases are canonical
+        at = next((k for k, p in enumerate(pivots) if p > lead), len(pivots))
+        echelon.insert(at, r)
+        pivots.insert(at, lead)
+    return echelon, pivots
+
+
+def dense_nullspace(rows, ncols):
+    """Basis of {x : R x = 0}, read off the dense reduced echelon form."""
+    echelon, pivots = dense_rref(rows)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = zero_vec(ncols)
+        v[j] = ONE
+        for e, p in zip(echelon, pivots):
+            if e[j]:
+                v[p] = -e[j]
+        basis.append(v)
+    return basis
+
+
+def reduce(space: Subspace, v):
+    """Residual of v modulo the subspace, by its dense basis (zero iff v is
+    a member)."""
+    r = list(v)
+    for e, p in zip(space.basis, space.pivots):
+        if r[p]:
+            add_scaled(r, e, -r[p])
+    return r
 
 
 def compose(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

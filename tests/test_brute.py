@@ -36,7 +36,7 @@ from mackey.partitions import EMPTY, Partition, partitions_up_to
 from mackey.verify import SOCLE_SHADOW_GRID, socle_shadow_layer_dims
 
 from gl_weights import gl_highest_weight_count
-from matrix_ops import add, compose, diagonal, intersection, scaled
+from matrix_ops import add, compose, diagonal, intersection, reduce, scaled
 
 P = Partition
 F = Fraction
@@ -533,7 +533,7 @@ def quotient_module(module, subspace):
     free = [j for j in range(module.dimension) if j not in set(subspace.pivots)]
 
     def project(v):
-        reduced = subspace.reduce(v)
+        reduced = reduce(subspace, v)
         return [reduced[j] for j in free]
 
     def build(label):

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mackey.linalg import (
     SparseMatrix,
@@ -13,7 +15,8 @@ from mackey.linalg import (
     vec,
 )
 
-from matrix_ops import compose, diagonal, intersection
+from matrix_ops import (compose, dense_nullspace, dense_rref, diagonal, intersection,
+                        reduce)
 
 F = Fraction
 
@@ -98,3 +101,94 @@ def test_dump_format_is_p_over_q():
     assert format_rational(F(-2, 5)) == "-2/5"
     text = dump_matrix([vec([1, F(1, 2)]), vec([0, -3])])
     assert text == "1/1 1/2\n0/1 -3/1"
+
+
+# --- the integer kernel against the dense Fraction reference -------------------
+
+BIG = 10**30
+
+entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(-BIG, BIG).map(F),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """(ncols, rows): rational rows with zero, repeated and scaled rows mixed in."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5))
+    extra = [[F(0)] * ncols]
+    if rows:
+        extra.append([F(-7, 3) * x for x in draw(st.sampled_from(rows))])
+    rows += draw(st.lists(st.sampled_from(rows + extra), max_size=3))
+    return ncols, draw(st.permutations(rows))
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def sparse(row):
+    return {k: x for k, x in enumerate(row) if x}
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_rref_rank_and_nullspace_match_the_dense_reference(matrix):
+    ncols, rows = matrix
+    echelon, pivots = rref(rows)
+    assert (echelon, pivots) == dense_rref(rows) and all_fractions(echelon)
+    assert rank(rows) == len(pivots)
+    kernel = nullspace(rows, ncols)
+    assert kernel == dense_nullspace(rows, ncols) and all_fractions(kernel)
+    assert nullspace([sparse(row) for row in rows], ncols) == kernel
+
+
+def test_empty_input():
+    assert rref([]) == ([], []) and rank([]) == 0
+    assert nullspace([], 2) == [vec([1, 0]), vec([0, 1])] and nullspace([], 0) == []
+    assert Subspace(0).dim == 0 and Subspace(3).basis == []
+
+
+@settings(deadline=None)
+@given(matrices(), st.data())
+def test_subspace_matches_the_dense_reference(matrix, data):
+    ncols, rows = matrix
+    space = Subspace(ncols, rows)
+    assert (space.basis, space.pivots) == dense_rref(rows) and all_fractions(space.basis)
+    # the echelon rows are primitive integer rows with a positive leading pivot
+    for pivot, row in space.echelon.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == pivot and row[pivot] > 0 and gcd(*row.values()) == 1
+    # so the held form is unique: any spanning set gives the same rows
+    assert Subspace(ncols, rows[::-1]) == space == Subspace(ncols, space.basis)
+    assert Subspace(ncols, [sparse(row) for row in rows]).echelon == space.echelon
+
+    v = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    if rows and data.draw(st.booleans()):  # a member, as a combination of the rows
+        v = [F(0)] * ncols
+        for row in rows:
+            c = data.draw(st.integers(-2, 2))
+            v = [x + c * y for x, y in zip(v, row)]
+    member = not any(reduce(space, v))
+    assert space.contains(v) == space.contains(sparse(v)) == member
+    if member:
+        coords = space.coordinates(v)
+        assert space.coordinates(sparse(v)) == coords
+        rebuilt = [F(0)] * ncols
+        for c, b in zip(coords, space.basis):
+            for i, x in enumerate(b):
+                rebuilt[i] += c * x
+        assert rebuilt == v
+    else:
+        with pytest.raises(ValueError):
+            space.coordinates(v)
+        with pytest.raises(ValueError):
+            space.coordinates(sparse(v))
+    other = Subspace(ncols, data.draw(st.lists(st.sampled_from(rows + [v]), max_size=4)))
+    assert space.contains_subspace(other) == all(
+        not any(reduce(space, b)) for b in other.basis)
