@@ -174,7 +174,8 @@ def restrict_module(module: ExplicitModule, subspace: Subspace) -> ExplicitModul
                 except ValueError:
                     raise ValueError(
                         f"subspace is not invariant under generator {label}") from None
-                entries.extend((r, col, c / row[pivot]) for r, c in zip(number[u], coords) if c)
+                entries.extend((r, col, Fraction(c, row[pivot]))
+                               for r, c in zip(number[u], coords) if c)
         return SparseMatrix.from_entries(subspace.dim, entries)
 
     weights = None if module.weights is None else [
@@ -442,15 +443,17 @@ class _WeightBlocks:
             self._targets[label] = found
         return found
 
-    def image(self, mat: SparseMatrix, b: int, row: dict[int, int]) -> dict[int, Fraction]:
-        """The image under the matrix of a sparse row of block b, given and
-        returned in local coordinates (of the block the matrix maps b into)."""
-        image: dict[int, Fraction] = {}
+    def image(self, mat: SparseMatrix, b: int,
+              row: dict[int, int]) -> dict[int, int | Fraction]:
+        """The image under the matrix of a sparse integer row of block b,
+        given and returned in local coordinates (of the block the matrix
+        maps b into); integral where the matrix is."""
+        image: dict[int, int | Fraction] = {}
         positions, local = self.positions[b], self.local
         for k, c in row.items():
             for i, x in mat.cols.get(positions[k], {}).items():
                 at = local[i]
-                image[at] = image.get(at, 0) + c * x
+                image[at] = image.get(at, 0) + (c * x.numerator if x.denominator == 1 else c * x)
         return image
 
     def split(self, space: Subspace) -> list[Subspace]:

@@ -46,8 +46,9 @@ def unit_vec(n: int, i: int) -> Vec:
 def integer_rows(rows: Iterable[Sequence | dict]) -> list[Row]:
     """Rational rows, dense or as dicts {column: value}, as sparse integer
     rows, all scaled by one positive integer: the lcm of the denominators."""
-    sparse = [{k: x for k, x in (row.items() if type(row) is dict else enumerate(row)) if x}
-              for row in rows]
+    # a dense row's zeros are mostly the shared ZERO, skipped without a call
+    sparse = [{k: x for k, x in (row.items() if type(row) is dict else enumerate(row))
+               if x is not ZERO and x} for row in rows]
     if all(type(x) is int for row in sparse for x in row.values()):
         return sparse
     scale = lcm(*[x.denominator for row in sparse for x in row.values()])
