@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mackey import cli, verify
+from mackey import cli, finrank, verify
 from mackey.cli import canonical_json, main
 from mackey.socle import tensor_length
 
@@ -196,6 +196,16 @@ def test_verify_branching_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "branching")
     assert code == 0
     assert out.startswith("[pass] branching dimension identity")
+
+
+def test_a_failing_check_reports_its_count_and_first_case(capsys, monkeypatch):
+    monkeypatch.setattr(finrank, "branching_identity_check",
+                        lambda lam, a, b: not (lam.size == 3 and a == 2 and b == 1))
+    code, out, err = run_cli(capsys, "verify", "branching")
+    assert code == 1
+    assert out == ("[FAIL] branching dimension identity: "
+                   "3/270 cases failed; first: lambda=3, a=2, b=1\n")
+    assert err == "1 of 1 checks failed\n"
 
 
 def test_verify_respects_budget_env(capsys, monkeypatch):
