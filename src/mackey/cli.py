@@ -151,10 +151,11 @@ def cmd_dim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.budget < 1:
-        raise ValueError(f"budget must be positive, got {args.budget}")
+    budget = _default_budget() if args.budget is None else args.budget
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     try:
-        results = verify.run_suite(args.suite, budget=args.budget, seed=args.seed)
+        results = verify.run_suite(args.suite, budget=budget, seed=args.seed)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -222,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "budget", None) is None and args.command == "verify":
-            args.budget = _default_budget()
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -319,5 +319,4 @@ def format_rational(x: Fraction) -> str:
 
 def dump_matrix(rows: Iterable[Sequence[Fraction]]) -> str:
     """One row per line, entries space-separated as p/q."""
-    return "\n".join(" ".join(format_rational(Fraction(x)) for x in row)
-                     for row in rows)
+    return "\n".join(" ".join(map(format_rational, row)) for row in rows)

@@ -7,21 +7,10 @@ criterion carries one.
 
 import time
 
-from mackey import brute, verify
-from mackey.brute import (
-    build_tensor_module,
-    constituent_count,
-    grade_filtration,
-    is_essential_filtration,
-    parabolic,
-    restrict_module,
-    socle_filtration_parabolic,
-    young_project,
-)
-from mackey.linalg import SparseMatrix, Subspace, unit_vec, vec
+from mackey import verify
+from mackey.brute import DEFAULT_BUDGET
 from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from mackey.socle import socle_layers, tensor_length
-from mackey.verify import SOCLE_SHADOW_GRID, socle_shadow_layer_dims
 
 from gl_weights import gl_highest_weight_count
 from oracles import lr_via_monomials
@@ -39,32 +28,31 @@ def _finish(num: int, description: str, failures: list[str],
     assert not failures, f"criterion {num}: " + "; ".join(failures[:5])
 
 
+def _failures(*checks) -> list[str]:
+    """The failure lines of `verify` checks at the default budget and seed."""
+    return [outcome for check in checks
+            for outcome in check(DEFAULT_BUDGET, verify.DEFAULT_SEED)
+            if outcome is not None]
+
+
 def test_criterion_1_hopf_suite():
     start = time.time()
-    failures = []
-    for runner, bound in ((verify._coassociativity_failures, 8),
-                          (verify._counit_failures, 8),
-                          (verify._symmetry_failures, 8)):
-        _, bad = runner(bound)
-        failures.extend(bad)
-    _, bad = verify._duality_failures(7)
-    failures.extend(bad)
+    failures = _failures(verify._coassociativity, verify._counit,
+                         verify._lr_symmetry, verify._duality)
     _finish(1, "coassociativity, counit, LR symmetry, duality",
             failures, time.time() - start, 60.0)
 
 
 def test_criterion_2_bialphabet_identity():
     start = time.time()
-    _, failures = verify._bialphabet_failures(verify.DEFAULT_SEED, points=20,
-                                              max_size=6, max_alpha=3)
+    failures = _failures(verify._bialphabet)
     _finish(2, "bi-alphabet evaluation identity at 20 seeded points",
             failures, time.time() - start)
 
 
 def test_criterion_3_branching_dimensions():
     start = time.time()
-    result = verify.branching_suite(max_size=6, max_alpha=3)[0]
-    failures = [] if result.passed else [result.detail]
+    failures = _failures(verify._branching)
     _finish(3, "branching dimension identity", failures, time.time() - start, 10.0)
 
 
@@ -109,37 +97,14 @@ def test_criterion_4_socle_structure_against_oracle():
 
 def test_criterion_5_finite_rank_socle_shadow():
     start = time.time()
-    failures = []
-    for n_rank, b in SOCLE_SHADOW_GRID:
-        para = parabolic(n_rank, b)
-        for lam in partitions_up_to(min(b, n_rank - b)):
-            module = build_tensor_module(n_rank, lam.size, 0)
-            projected = young_project(module, lam, EMPTY)
-            schur_module = restrict_module(module, projected)
-            filtration = socle_filtration_parabolic(schur_module, para)
-            got = filtration.layer_dimensions()
-            expected = socle_shadow_layer_dims(lam, n_rank, b)
-            if got != expected:
-                failures.append(f"N={n_rank}, b={b}, {lam}: {got} != {expected}")
+    failures = _failures(verify._socle_shadow)
     _finish(5, "parabolic socle filtration layer dimensions vs branching",
             failures, time.time() - start, 300.0)
 
 
 def test_criterion_6_essentiality_shadow():
     start = time.time()
-    failures = []
-    for n_rank, b in SOCLE_SHADOW_GRID:
-        para = parabolic(n_rank, b)
-        for m in range(1, min(b, n_rank - b, 3) + 1):
-            module = build_tensor_module(n_rank, m, 0)
-            filtration = grade_filtration(module, para)
-            if not is_essential_filtration(module, filtration, para):
-                failures.append(f"grade filtration N={n_rank}, b={b}, m={m}")
-    zero_module = brute.ExplicitModule(2, 1, lambda label: SparseMatrix(2))
-    line = Subspace(2, [vec([1, 3])])
-    full = Subspace(2, [unit_vec(2, 0), unit_vec(2, 1)])
-    if is_essential_filtration(zero_module, brute.Filtration([line, full]), []):
-        failures.append("trivial + trivial line reported essential")
+    failures = _failures(verify._essentiality)
     _finish(6, "binary-word filtrations essential, designed negative rejected",
             failures, time.time() - start)
 
@@ -185,34 +150,20 @@ def test_criterion_8_length_values():
                 f"gl(4) highest weight vectors of V^(x){q}: {brute_count} != {expected}")
     if tensor_length(1, 1) != 3:
         failures.append(f"tensor_length(1,1) = {tensor_length(1, 1)} != 3")
-    for n_rank, b in SOCLE_SHADOW_GRID:
-        para = parabolic(n_rank, b)
-        for m in range(min(b, n_rank - b, 3) + 1):
-            module = build_tensor_module(n_rank, m, 0)
-            got = constituent_count(module, para)
-            if got != tensor_length(m, 0):
-                failures.append(
-                    f"constituents N={n_rank}, b={b}, m={m}: {got} != {tensor_length(m, 0)}")
+    failures += _failures(verify._constituent_counts)
     _finish(8, "length values and brute-force constituent counts",
             failures, time.time() - start)
 
 
 def test_criterion_9_young_weyl_agreement():
     start = time.time()
-    _, failures = verify._young_weyl_failures(brute.DEFAULT_BUDGET)
+    failures = _failures(verify._young_weyl)
     _finish(9, "Young projector ranks vs Weyl dimensions on the N<=4 grid",
             failures, time.time() - start, 120.0)
 
 
 def test_criterion_10_vandermonde():
     start = time.time()
-    failures = []
-    for count in range(1, 7):
-        eigenvalues = [(count + 1) ** j for j in range(1, count + 1)]
-        h = SparseMatrix.diagonal(eigenvalues)
-        components = [unit_vec(count, i) for i in range(count)]
-        got = brute.vandermonde_span(components, h)
-        if got != count:
-            failures.append(f"count={count}: span {got}")
+    failures = _failures(verify._vandermonde)
     _finish(10, "Vandermonde spans reach full component count",
             failures, time.time() - start)

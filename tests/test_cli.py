@@ -184,18 +184,14 @@ def test_unknown_suite_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_verify_hopf_passes(capsys):
-    code, out, err = run_cli(capsys, "verify", "hopf")
+@pytest.mark.parametrize("suite, first, last", [
+    ("hopf", 1, 6), ("branching", 7, 7), ("brute", 8, 13)])
+def test_each_suite_prints_its_lines_of_verify_all(capsys, suite, first, last):
+    code, out, err = run_cli(capsys, "verify", suite)
     assert code == 0 and err == ""
-    lines = out.splitlines()
-    assert len(lines) == 6
-    assert all(line.startswith("[pass]") for line in lines)
-
-
-def test_verify_branching_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "branching")
-    assert code == 0
-    assert out.startswith("[pass] branching dimension identity")
+    golden = (GOLDEN / "verify_all.txt").read_text().splitlines(keepends=True)
+    assert len(golden) == 13
+    assert out == "".join(golden[first - 1:last])
 
 
 def test_a_failing_check_reports_its_count_and_first_case(capsys, monkeypatch):

@@ -101,6 +101,7 @@ def test_dump_format_is_p_over_q():
     assert format_rational(F(-2, 5)) == "-2/5"
     text = dump_matrix([vec([1, F(1, 2)]), vec([0, -3])])
     assert text == "1/1 1/2\n0/1 -3/1"
+    assert dump_matrix([[1, F(1, 2)]]) == "1/1 1/2"
 
 
 # --- the integer kernel against the dense Fraction reference -------------------
