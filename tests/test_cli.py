@@ -1,6 +1,7 @@
 import importlib.abc
 import json
 import math
+import os
 import runpy
 import signal
 import subprocess
@@ -176,6 +177,24 @@ def test_dim_rank_too_small(capsys):
 def test_negative_degree_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "length", "--m", "-1", "--n", "0")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("argv, env, line", [
+    (["socle", "--lambda", "1,2", "--mu", "-"], {},
+     "error: invalid partition for --lambda: parts not weakly decreasing: (1, 2)"),
+    (["lr", "2,1", "x", "1"], {},
+     "error: invalid partition for mu: malformed partition 'x': "
+     "parts are positive integers in ASCII digits, without leading zeros"),
+    (["dim", "--rank", "1", "--lambda", "1", "--mu", "1"], {},
+     "error: rank 1 too small for bipartition with 1+1 rows"),
+    (["verify", "brute"], {"SOCLE_BUDGET": "abc"},
+     "error: SOCLE_BUDGET must be an integer, got 'abc'"),
+])
+def test_a_usage_error_exits_2_with_its_line(argv, env, line):
+    result = subprocess.run([sys.executable, "-m", "mackey", *argv],
+                            capture_output=True, text=True, env={**os.environ, **env})
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == line + "\n"
 
 
 def test_unknown_suite_is_usage_error():
