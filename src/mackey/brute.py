@@ -28,12 +28,9 @@ from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
-    ONE,
-    ZERO,
     SparseMatrix,
     Subspace,
     add_multiple,
-    dump_matrix,
     full_space,
     integer_rows,
     nullspace,
@@ -46,8 +43,6 @@ GeneratorLabel = tuple[int, int]
 WordLabel = tuple[tuple[int, bool], ...]
 
 DEFAULT_BUDGET = 20000
-
-NEG_ONE = Fraction(-1)
 
 
 class BudgetExceededError(ValueError):
@@ -118,7 +113,8 @@ def _word_weight(word: tuple[int, ...], m: int, n_rank: int) -> tuple[int, ...]:
 def build_tensor_module(n_rank: int, m: int, n: int,
                         budget: int = DEFAULT_BUDGET) -> ExplicitModule:
     """The gl(N)-module (C^N*)^(x)m (x) (C^N)^(x)n on word basis, with the
-    slot-wise derivation action of the generator labels.
+    slot-wise derivation action of the generator labels, whose matrices
+    have integer entries.
     """
     words = _tensor_words(n_rank, m, n, budget)
     dim = len(words)
@@ -135,12 +131,12 @@ def build_tensor_module(n_rank: int, m: int, n: int,
                     # starred slot: e_j* -> -e_i*
                     if idx == j:
                         tgt = word[:slot] + (i,) + word[slot + 1:]
-                        entries.append((index[tgt], col, NEG_ONE))
+                        entries.append((index[tgt], col, -1))
                 else:
                     # plain slot: e_i -> e_j
                     if idx == i:
                         tgt = word[:slot] + (j,) + word[slot + 1:]
-                        entries.append((index[tgt], col, ONE))
+                        entries.append((index[tgt], col, 1))
         return SparseMatrix.from_entries(dim, entries)
 
     return ExplicitModule(dim, n_rank, build, labels, m, n,
@@ -193,7 +189,7 @@ def _require_words(module: ExplicitModule) -> list[tuple[int, ...]]:
 
 
 def _contraction_rows(words: Sequence[tuple[int, ...]], m: int, n: int,
-                      members: Sequence[int]) -> list[list[Fraction]]:
+                      members: Sequence[int]) -> list[list[int]]:
     """The contraction constraints restricted to one weight block of word
     positions. Contractions preserve weight, so the joint kernel splits over
     the blocks.
@@ -208,7 +204,7 @@ def _contraction_rows(words: Sequence[tuple[int, ...]], m: int, n: int,
                 remaining = tuple(word[s] for s in range(len(word))
                                   if s != a and s != m + b)
                 rows.setdefault((a, b, remaining), set()).add(local)
-    return [[ONE if k in rows[key] else ZERO for k in range(len(members))]
+    return [[1 if k in rows[key] else 0 for k in range(len(members))]
             for key in sorted(rows)]
 
 
@@ -453,7 +449,7 @@ class _WeightBlocks:
         for k, c in row.items():
             for i, x in mat.cols.get(positions[k], {}).items():
                 at = local[i]
-                image[at] = image.get(at, 0) + (c * x.numerator if x.denominator == 1 else c * x)
+                image[at] = image.get(at, 0) + c * x
         return image
 
     def split(self, space: Subspace) -> list[Subspace]:
@@ -686,12 +682,3 @@ def constituent_count(module: ExplicitModule, para: ParabolicData) -> int:
     return sum(k.dim - p.dim for low, high in zip(steps, steps[1:])
                for k, p in zip(_kernel(module, blocks, raising, low, high), low))
 
-
-def dump_filtration(filtration: Filtration) -> str:
-    """Plain-text dump: one step per block, basis rows as p/q entries."""
-    blocks = []
-    for k, step in enumerate(filtration):
-        header = f"# step {k} dim {step.dim}"
-        body = dump_matrix(step.basis)
-        blocks.append(header + ("\n" + body if body else ""))
-    return "\n".join(blocks) + "\n"

@@ -43,12 +43,11 @@ def _partition_arg(parser: argparse.ArgumentParser, flag: str, help_text: str) -
                         help=help_text)
 
 
-def _parse_partition_or_exit(text: str, what: str) -> Partition:
+def _parse_partition(text: str, what: str) -> Partition:
     try:
         return parse_partition(text)
     except ValueError as exc:
-        print(f"error: invalid partition for {what}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise ValueError(f"invalid partition for {what}: {exc}") from None
 
 
 def _default_budget() -> int:
@@ -58,8 +57,7 @@ def _default_budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        print(f"error: SOCLE_BUDGET must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise ValueError(f"SOCLE_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _check_digits(bits: int) -> None:
@@ -94,8 +92,8 @@ def render_socle_text(report: SocleReport) -> str:
 
 
 def cmd_socle(args) -> int:
-    lam = _parse_partition_or_exit(args.lam, "--lambda")
-    mu = _parse_partition_or_exit(args.mu, "--mu")
+    lam = _parse_partition(args.lam, "--lambda")
+    mu = _parse_partition(args.mu, "--mu")
     report = socle_layers(lam, mu)
     if args.format == "json":
         print(canonical_json(report.to_json()))
@@ -105,8 +103,8 @@ def cmd_socle(args) -> int:
 
 
 def cmd_simple_length(args) -> int:
-    lam = _parse_partition_or_exit(args.lam, "--lambda")
-    mu = _parse_partition_or_exit(args.mu, "--mu")
+    lam = _parse_partition(args.lam, "--lambda")
+    mu = _parse_partition(args.mu, "--mu")
     _print_int(simple_length(lam, mu))
     return 0
 
@@ -119,15 +117,15 @@ def cmd_length(args) -> int:
 
 
 def cmd_lr(args) -> int:
-    lam = _parse_partition_or_exit(args.lam, "lambda")
-    mu = _parse_partition_or_exit(args.mu, "mu")
-    nu = _parse_partition_or_exit(args.nu, "nu")
+    lam = _parse_partition(args.lam, "lambda")
+    mu = _parse_partition(args.mu, "mu")
+    nu = _parse_partition(args.nu, "nu")
     _print_int(lr_coefficient(lam, mu, nu))
     return 0
 
 
 def cmd_coproduct(args) -> int:
-    lam = _parse_partition_or_exit(args.lam, "lambda")
+    lam = _parse_partition(args.lam, "lambda")
     delta = coproduct(lam)
     if args.format == "json":
         print(canonical_json([{"left": list(mu.parts), "right": list(nu.parts), "coeff": c}
@@ -139,14 +137,9 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    lam = _parse_partition_or_exit(args.lam, "--lambda")
-    mu = _parse_partition_or_exit(args.mu, "--mu")
-    try:
-        weight = MixedWeight(lam, mu, args.rank)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    _print_int(dim_mixed(weight))
+    lam = _parse_partition(args.lam, "--lambda")
+    mu = _parse_partition(args.mu, "--mu")
+    _print_int(dim_mixed(MixedWeight(lam, mu, args.rank)))
     return 0
 
 

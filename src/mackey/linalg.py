@@ -10,7 +10,9 @@ of Fractions. A Subspace holds the integer echelon and densifies its basis
 only when the basis is read; rref and nullspace take and return dense
 Fraction rows. Action matrices of tensor modules are column-sparse (a
 matrix unit moves a basis word to at most one other word per tensor slot),
-so those get a small sparse type of their own.
+so those get a small sparse type of their own. Its entries are exact and
+kept as given: the integer matrices of word modules hold ints, which reach
+the kernel without conversion.
 
 No floating point anywhere: ranks and kernels here feed socle and
 essentiality decisions, which are meaningless under rounding.
@@ -253,25 +255,27 @@ def full_space(n: int) -> Subspace:
 
 
 class SparseMatrix:
-    """Square column-sparse matrix of Fractions: cols[j] = {i: M[i][j]}."""
+    """Square column-sparse matrix of exact entries: cols[j] = {i: M[i][j]},
+    each an int or a Fraction as given; any other number (a float, say) is
+    stored as the Fraction of its exact value."""
 
     __slots__ = ("dim", "cols")
 
-    def __init__(self, dim: int, cols: dict[int, dict[int, Fraction]] | None = None):
+    def __init__(self, dim: int, cols: dict[int, dict[int, int | Fraction]] | None = None):
         self.dim = dim
-        self.cols: dict[int, dict[int, Fraction]] = {}
+        self.cols: dict[int, dict[int, int | Fraction]] = {}
         if cols:
             for j, col in cols.items():
-                clean = {i: v if type(v) is Fraction else Fraction(v)
+                clean = {i: v if type(v) in (int, Fraction) else Fraction(v)
                          for i, v in col.items() if v}
                 if clean:
                     self.cols[j] = clean
 
     @classmethod
-    def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, Fraction]]
+    def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, int | Fraction]]
                      ) -> "SparseMatrix":
         """Build from (row, col, value) triples, summing duplicates."""
-        cols: dict[int, dict[int, Fraction]] = {}
+        cols: dict[int, dict[int, int | Fraction]] = {}
         for i, j, v in entries:
             col = cols.setdefault(j, {})
             col[i] = col[i] + v if i in col else v
@@ -279,8 +283,7 @@ class SparseMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "SparseMatrix":
-        vals = [Fraction(v) for v in values]
-        return cls(len(vals), {j: {j: v} for j, v in enumerate(vals) if v})
+        return cls(len(values), {j: {j: v} for j, v in enumerate(values)})
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
         out = zero_vec(self.dim)
@@ -311,12 +314,3 @@ class SparseMatrix:
                     out[r][k] = v
         return out
 
-
-def format_rational(x: Fraction) -> str:
-    """Plain-text exchange format: always p/q."""
-    return f"{x.numerator}/{x.denominator}"
-
-
-def dump_matrix(rows: Iterable[Sequence[Fraction]]) -> str:
-    """One row per line, entries space-separated as p/q."""
-    return "\n".join(" ".join(map(format_rational, row)) for row in rows)

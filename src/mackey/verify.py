@@ -174,16 +174,13 @@ def _young_weyl(budget: int, seed: int) -> Outcomes:
 
 def socle_shadow_layer_dims(lam: Partition, n_rank: int, b: int) -> list[int]:
     """Branching prediction for the layer dimensions of the finite-rank
-    socle filtration of the Schur module of the dual at (N, b).
+    socle filtration of the Schur module of the dual at (N, b): each layer
+    of socle_layers(lam, EMPTY) with alpha on the N-b and beta on the b
+    coordinates.
     """
-    expected = []
-    for k in range(lam.size + 1):
-        total = 0
-        for (alpha, beta), c in symfunc.coproduct(lam):
-            if alpha.size == k:
-                total += c * dim_schur(alpha, n_rank - b) * dim_schur(beta, b)
-        expected.append(total)
-    return expected
+    return [sum(c.multiplicity * dim_schur(c.alpha, n_rank - b) * dim_schur(c.beta, b)
+                for c in layer)
+            for layer in socle.socle_layers(lam, EMPTY).layers]
 
 
 def _socle_shadow(budget: int, seed: int) -> Outcomes:

@@ -1,8 +1,9 @@
 """Linear algebra that only the tests need: products, sums and scalar
 multiples of mackey.linalg.SparseMatrix, for checking brackets and
 conjugating modules, the diagonal of a matrix, for checking weights, the
-intersection of two subspaces, and the dense Fraction elimination that
-mackey.linalg's integer kernel replaced, kept as its reference.
+intersection of two subspaces, the dense Fraction elimination that
+mackey.linalg's integer kernel replaced, kept as its reference, and the
+p/q text dumps of matrices and filtrations that the golden files hold.
 """
 
 from fractions import Fraction
@@ -120,3 +121,23 @@ def intersection(a: Subspace, b: Subspace) -> Subspace:
             add_scaled(w, ai, c)
         vecs.append(w)
     return Subspace(a.ambient, vecs)
+
+
+def format_rational(x) -> str:
+    """Plain-text exchange format: always p/q."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def dump_matrix(rows) -> str:
+    """One row per line, entries space-separated as p/q."""
+    return "\n".join(" ".join(map(format_rational, row)) for row in rows)
+
+
+def dump_filtration(filtration) -> str:
+    """Plain-text dump: one step per block, basis rows as p/q entries."""
+    blocks = []
+    for k, step in enumerate(filtration):
+        header = f"# step {k} dim {step.dim}"
+        body = dump_matrix(step.basis)
+        blocks.append(header + ("\n" + body if body else ""))
+    return "\n".join(blocks) + "\n"

@@ -10,7 +10,6 @@ from mackey.brute import (
     Filtration,
     build_tensor_module,
     constituent_count,
-    dump_filtration,
     grade_filtration,
     is_essential_filtration,
     parabolic,
@@ -26,7 +25,6 @@ from mackey.brute import _WeightBlocks, _weight_blocks
 from mackey.linalg import (
     SparseMatrix,
     Subspace,
-    dump_matrix,
     full_space,
     nullspace,
     unit_vec,
@@ -36,7 +34,8 @@ from mackey.partitions import EMPTY, Partition, partitions_up_to
 from mackey.verify import SOCLE_SHADOW_GRID, socle_shadow_layer_dims
 
 from gl_weights import gl_highest_weight_count
-from matrix_ops import add, compose, diagonal, intersection, reduce, scaled
+from matrix_ops import (add, compose, diagonal, dump_filtration, dump_matrix,
+                        intersection, reduce, scaled)
 
 P = Partition
 F = Fraction
@@ -134,6 +133,25 @@ def test_action_respects_the_bracket_on_every_generator_pair():
                             expected = add(expected, scaled(module.action(label), sign))
                         commutator = add(compose(a, b), scaled(compose(b, a), -1))
                         assert commutator == expected, (n_rank, m, n, x, y)
+
+
+def test_word_modules_hold_integer_matrices():
+    # the action entries are -1, 0 and 1, and reach the integer kernel as ints
+    for n_rank, m, n in [(3, 2, 0), (3, 1, 2), (2, 2, 2)]:
+        module = build_tensor_module(n_rank, m, n)
+        blocks = _weight_blocks(module, module.generator_labels())
+        for label in module.generator_labels():
+            mat = module.action(label)
+            assert all(type(x) is int for col in mat.cols.values()
+                       for x in col.values()), (n_rank, m, n, label)
+            for b, u in enumerate(blocks.targets(module, label)):
+                if u is not None:
+                    row = {k: k + 1 for k in range(len(blocks.positions[b]))}
+                    image = blocks.image(mat, b, row)
+                    assert all(type(x) is int for x in image.values()), (label, b)
+    # any other number is kept as the Fraction of its exact value
+    half = SparseMatrix(1, {0: {0: 0.5}}).cols[0][0]
+    assert type(half) is Fraction and half == F(1, 2)
 
 
 def test_matrices_are_built_on_first_use():

@@ -50,11 +50,9 @@ def test_socle_json_round_trips_byte_identical(capsys):
 
 
 def test_socle_rejects_bad_partition(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["socle", "--lambda", "1,2", "--mu", "-"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--lambda" in err
+    code, out, err = run_cli(capsys, "socle", "--lambda", "1,2", "--mu", "-")
+    assert code == 2 and out == ""
+    assert err == "error: invalid partition for --lambda: parts not weakly decreasing: (1, 2)\n"
 
 
 def test_length_values(capsys):

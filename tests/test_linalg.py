@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 from mackey.linalg import (
     SparseMatrix,
     Subspace,
-    dump_matrix,
-    format_rational,
     nullspace,
     rank,
     rref,
     vec,
 )
 
-from matrix_ops import (compose, dense_nullspace, dense_rref, diagonal, intersection,
-                        reduce)
+from matrix_ops import (compose, dense_nullspace, dense_rref, diagonal, dump_matrix,
+                        format_rational, intersection, reduce)
 
 F = Fraction
 
@@ -91,6 +89,9 @@ def test_sparse_matrix_diagonal():
     # the diagonal is read by the tests' own helper, as no code in mackey does
     d = SparseMatrix.diagonal([1, -2, 0])
     assert d.to_dense_rows() == [vec([1, 0, 0]), vec([0, -2, 0]), vec([0, 0, 0])]
+    # int entries are kept as given
+    assert d.cols == {0: {0: 1}, 1: {1: -2}}
+    assert all(type(col[j]) is int for j, col in d.cols.items())
     assert diagonal(d) == vec([1, -2, 0])
     nd = SparseMatrix.from_entries(2, [(0, 1, F(1))])
     assert diagonal(nd) is None
