@@ -102,6 +102,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("coproduct_321.txt", ["coproduct", "3,2,1"]),
     ("coproduct_321.json", ["coproduct", "3,2,1", "--format", "json"]),
     ("socle_321_1.json", ["socle", "--lambda", "3,2,1", "--mu", "1", "--format", "json"]),
+    ("coproduct_4321.json", ["coproduct", "4,3,2,1", "--format", "json"]),
+    ("socle_4321_21.json", ["socle", "--lambda", "4,3,2,1", "--mu", "2,1", "--format", "json"]),
 ])
 def test_output_matches_the_golden_file(name, argv):
     result = subprocess.run([sys.executable, "-m", "mackey", *argv],

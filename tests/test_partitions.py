@@ -82,6 +82,14 @@ def test_contains_examples():
     assert not Partition([3, 1]).contains(Partition([1, 1, 1]))
 
 
+def test_contains_is_inclusion_of_cell_sets():
+    shapes = list(partitions_up_to(7))
+    for lam in shapes:
+        cells = set(lam.cells())
+        for mu in shapes:  # mu may have more rows, or longer ones, than lam
+            assert lam.contains(mu) == (set(mu.cells()) <= cells), (lam, mu)
+
+
 @given(partition_strategy(max_n=8), partition_strategy(max_n=8))
 def test_contains_conjugate_compatible(lam, mu):
     assert lam.contains(mu) == lam.conjugate().contains(mu.conjugate())

@@ -106,6 +106,27 @@ def test_coproduct_staircase():
     assert coproduct(P([2, 1])) == expected
 
 
+def _full_probe_coproduct(lam):
+    """Delta(s_lam) by definition: every mu in lam and every nu of the
+    complementary size, probed through lr_coefficient."""
+    out = {}
+    for k in range(lam.size + 1):
+        for mu in partitions_of(k):
+            if lam.contains(mu):
+                for nu in partitions_of(lam.size - k):
+                    c = lr_coefficient(lam, mu, nu)
+                    if c:
+                        out[(mu, nu)] = c
+    return SchurExpr(out)
+
+
+def test_coproduct_matches_the_full_probe():
+    for lam in partitions_up_to(12):
+        reference = _full_probe_coproduct(lam)
+        assert coproduct(lam) == reference, lam
+        assert list(coproduct(lam)) == list(reference), lam
+
+
 def test_coassociativity_small():
     for lam in partitions_up_to(5):
         left: dict = {}
