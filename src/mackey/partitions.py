@@ -91,7 +91,8 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         """True iff other's diagram fits inside self's (componentwise)."""
-        return all(other[i] <= self[i] for i in range(len(other)))
+        return (len(other.parts) <= len(self.parts)
+                and all(map(int.__le__, other.parts, self.parts)))
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """(row, col) coordinates of the diagram, 0-indexed."""

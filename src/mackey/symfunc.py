@@ -123,17 +123,18 @@ def schur_product(mu: Partition, nu: Partition) -> SchurExpr:
 @cache
 def coproduct(lam: Partition) -> SchurExpr:
     """Delta(s_lam) = sum over mu contained in lam of s_mu (x) s_{lam/mu},
-    with the skew expansion read off from LR coefficients.
+    with the skew expansion read off from LR coefficients: probed only where
+    |mu| >= |nu|, and mirrored onto the rest by c^lam_{mu nu} = c^lam_{nu mu}.
     """
     out = {}
-    for k in range(lam.size + 1):
+    for k in range((lam.size + 1) // 2, lam.size + 1):
         for mu in partitions_of(k):
             if not lam.contains(mu):
                 continue
             for nu in partitions_of(lam.size - k):
                 c = lr_coefficient(lam, mu, nu)
                 if c:
-                    out[(mu, nu)] = c
+                    out[(mu, nu)] = out[(nu, mu)] = c
     return SchurExpr(out)
 
 

@@ -82,11 +82,13 @@ def _counit(budget: int, seed: int) -> Outcomes:
 
 
 def _lr_symmetry(budget: int, seed: int) -> Outcomes:
+    """c^lam_{mu nu} = c^lam_{nu mu} between the skew tables lam/mu and lam/nu,
+    not in coproduct, which mirrors one half of its terms onto the other."""
     for lam in partitions_up_to(8):
-        delta = symfunc.coproduct(lam)
-        for (mu, nu), c in delta:
-            yield (None if delta.coefficient((nu, mu)) == c
-                   else f"lambda={lam}, mu={mu}, nu={nu}")
+        for mu in partitions_up_to(lam.size):
+            for nu, c in symfunc._skew_table(lam, mu).items():
+                yield (None if symfunc._skew_table(lam, nu).get(mu, 0) == c
+                       else f"lambda={lam}, mu={mu}, nu={nu}")
 
 
 def _duality(budget: int, seed: int) -> Outcomes:

@@ -301,8 +301,8 @@ def test_ctrl_c_while_the_package_imports_exits_130(capsys, monkeypatch):
 
 
 def test_ctrl_c_stops_a_long_command_with_one_line():
-    # the coproduct of the staircase of size 36 runs for well over ten
-    # seconds (16 s on a 2-vCPU Xeon), far past the one second waited here
+    # the coproduct of the staircase of size 36 runs for several seconds
+    # (5-9 s on a 2-vCPU Xeon), far past the one second waited here
     proc = subprocess.Popen(
         [sys.executable, "-m", "mackey", "coproduct", "8,7,6,5,4,3,2,1"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)

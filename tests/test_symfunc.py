@@ -107,16 +107,15 @@ def test_coproduct_staircase():
 
 
 def _full_probe_coproduct(lam):
-    """Delta(s_lam) by definition: every mu in lam and every nu of the
-    complementary size, probed through lr_coefficient."""
+    """Delta(s_lam) by definition: every mu of size at most |lam| and every
+    nu of the complementary size, probed through lr_coefficient."""
     out = {}
     for k in range(lam.size + 1):
         for mu in partitions_of(k):
-            if lam.contains(mu):
-                for nu in partitions_of(lam.size - k):
-                    c = lr_coefficient(lam, mu, nu)
-                    if c:
-                        out[(mu, nu)] = c
+            for nu in partitions_of(lam.size - k):
+                c = lr_coefficient(lam, mu, nu)
+                if c:
+                    out[(mu, nu)] = c
     return SchurExpr(out)
 
 
