@@ -170,3 +170,12 @@ def test_parse_is_strict(text):
 def test_sort_key_orders_by_degree_then_lex():
     ordered = sorted([Partition([2]), Partition([1]), Partition([1, 1])])
     assert ordered == [Partition([1]), Partition([1, 1]), Partition([2])]
+
+
+def test_comparisons_agree_with_sort_key():
+    shapes = list(partitions_up_to(6))
+    for lam in shapes:
+        for mu in shapes:
+            a, b = lam.sort_key(), mu.sort_key()
+            assert (lam < mu, lam <= mu, lam > mu, lam >= mu) == (a < b, a <= b, a > b, a >= b), \
+                (lam, mu)
