@@ -265,7 +265,7 @@ def _symmetrizer_terms(shape: Partition) -> list[tuple[tuple[int, ...], int]]:
     size = shape.size
     # the row-reading tableau: slots 0..|shape|-1 filled row by row
     rows = [range(start, start + length)
-            for start, length in zip(accumulate(shape.parts, initial=0), shape.parts)]
+            for start, length in zip(accumulate(shape, initial=0), shape)]
     columns = [[row[j] for row in rows if j < len(row)] for j in range(shape[0])]
     row_perms = _group_perms(rows)
     terms = []

@@ -128,7 +128,7 @@ def cmd_coproduct(args) -> int:
     lam = _parse_partition(args.lam, "lambda")
     delta = coproduct(lam)
     if args.format == "json":
-        print(canonical_json([{"left": list(mu.parts), "right": list(nu.parts), "coeff": c}
+        print(canonical_json([{"left": list(mu), "right": list(nu), "coeff": c}
                               for (mu, nu), c in delta]))
     else:
         for (mu, nu), c in delta:

@@ -31,10 +31,6 @@ class MixedWeight:
                 f"rank {self.n} too small for bipartition with "
                 f"{len(self.beta)}+{len(self.gamma)} rows")
 
-    def highest_weight(self) -> tuple[int, ...]:
-        pad = self.n - len(self.beta) - len(self.gamma)
-        return self.beta.parts + (0,) * pad + tuple(-g for g in reversed(self.gamma.parts))
-
 
 def dim_mixed(w: MixedWeight) -> int:
     """Weyl dimension formula for the traceless mixed tensor module.
@@ -49,8 +45,8 @@ def dim_mixed(w: MixedWeight) -> int:
     """
     s, t = len(w.beta), len(w.gamma)
     zeros = w.n - s - t
-    rows = list(enumerate(w.beta.parts))
-    rows += [(w.n - 1 - k, -g) for k, g in enumerate(w.gamma.parts)]
+    rows = list(enumerate(w.beta))
+    rows += [(w.n - 1 - k, -g) for k, g in enumerate(w.gamma)]
     num = 1
     den = 1
     for i, a in rows:

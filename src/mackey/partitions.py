@@ -2,7 +2,7 @@
 hook-length / hook-content counting formulas.
 
 Everything here is exact: counts are Python ints (arbitrary precision),
-partitions are immutable and normalized on construction.
+partitions are tuples, normalized on construction.
 """
 
 from __future__ import annotations
@@ -13,17 +13,25 @@ from math import factorial
 from typing import Iterable, Iterator
 
 
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers; ``Partition(())`` is the
     empty partition.
 
-    Trailing zeros are stripped on construction so each partition has a unique
-    representative, suitable for hashing and dict keys.
+    A partition is the tuple of its parts: it equals and hashes as that tuple,
+    and inherits its length, iteration and immutability. Trailing zeros are
+    stripped on construction so each partition has a unique representative.
+    Only these differ from the tuple:
+    - ``lam[i]`` is the row length at integer index i, 0 past the last row:
+      the skew tables and the Young symmetrizer read rows that way. A slice
+      is a TypeError; slice ``parts`` instead.
+    - ``<``, ``<=``, ``>`` and ``>=`` compare ``sort_key()``, degree first,
+      not the tuples lexicographically.
+    - ``parts`` is the plain tuple of the parts.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         parts, ps = tuple(parts), []  # read once: a generator is consumed
         for p in parts:
             if isinstance(p, bool) or not isinstance(p, int):
@@ -35,33 +43,20 @@ class Partition:
             ps.append(p)
         for a, b in zip(ps, ps[1:]):
             if a < b:
-                raise ValueError(f"parts not weakly decreasing: {tuple(parts)}")
-        object.__setattr__(self, "parts", tuple(ps))
+                raise ValueError(f"parts not weakly decreasing: {parts}")
+        return super().__new__(cls, ps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
+        return sum(self)
 
     def __getitem__(self, i: int) -> int:
         """Row length at index i, with zero-padding past the last row."""
-        if 0 <= i < len(self.parts):
-            return self.parts[i]
-        return 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return tuple.__getitem__(self, i) if 0 <= i < len(self) else 0
 
     def __lt__(self, other: "Partition") -> bool:
         return self.sort_key() < other.sort_key()
@@ -69,39 +64,45 @@ class Partition:
     def __le__(self, other: "Partition") -> bool:
         return self.sort_key() <= other.sort_key()
 
+    def __gt__(self, other: "Partition") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "Partition") -> bool:
+        return self.sort_key() >= other.sort_key()
+
     def sort_key(self) -> tuple:
-        """Total order used for deterministic output: degree, then lex."""
-        return (self.size, self.parts)
+        """Total order used for deterministic output: degree, then lex. The
+        parts go in as a plain tuple, which compares without recursing here."""
+        return (sum(self), tuple(self))
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self) -> str:
         return format_partition(self)
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
-        if not self.parts:
+        if not self:
             return Partition()
-        cols = [0] * self.parts[0]
-        for row in self.parts:
+        cols = [0] * self[0]
+        for row in self:
             for j in range(row):
                 cols[j] += 1
         return Partition(cols)
 
     def contains(self, other: "Partition") -> bool:
         """True iff other's diagram fits inside self's (componentwise)."""
-        return (len(other.parts) <= len(self.parts)
-                and all(map(int.__le__, other.parts, self.parts)))
+        return len(other) <= len(self) and all(map(int.__le__, other, self))
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """(row, col) coordinates of the diagram, 0-indexed."""
-        for i, row in enumerate(self.parts):
+        for i, row in enumerate(self):
             for j in range(row):
                 yield (i, j)
 
     def hook_length(self, i: int, j: int) -> int:
-        arm = self.parts[i] - j - 1
+        arm = self[i] - j - 1
         leg = sum(1 for r in self.parts[i + 1:] if r > j)
         return arm + leg + 1
 
@@ -149,7 +150,7 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     out = []
     for first in range(bound, 0, -1):
         for rest in partitions_of(n - first, first):
-            out.append(Partition((first,) + rest.parts))
+            out.append(Partition((first,) + rest))
     return tuple(out)
 
 
@@ -182,6 +183,6 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     """Inverse of parse_partition."""
-    if not lam.parts:
+    if not lam:
         return "-"
-    return ",".join(str(p) for p in lam.parts)
+    return ",".join(str(p) for p in lam)

@@ -37,9 +37,9 @@ class SimpleConstituent:
 
     def to_json(self) -> dict:
         return {
-            "alpha": list(self.alpha.parts),
-            "beta": list(self.beta.parts),
-            "mu": list(self.mu.parts),
+            "alpha": list(self.alpha),
+            "beta": list(self.beta),
+            "mu": list(self.mu),
             "mult": self.multiplicity,
         }
 
@@ -57,8 +57,8 @@ class SocleReport:
 
     def to_json(self) -> dict:
         return {
-            "lambda": list(self.lam.parts),
-            "mu": list(self.mu.parts),
+            "lambda": list(self.lam),
+            "mu": list(self.mu),
             "layers": [[c.to_json() for c in layer] for layer in self.layers],
         }
 

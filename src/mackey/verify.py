@@ -110,12 +110,13 @@ def _bialphabet(budget: int, seed: int) -> Outcomes:
         a, b = alphabet_sizes[index % len(alphabet_sizes)]
         xs = _random_point(rng, a)
         ys = _random_point(rng, b)
+        # each s_mu(x) and s_nu(y) is evaluated once per point
+        at_xs = {mu: symfunc.eval_schur(mu, xs) for mu in partitions_up_to(6)}
+        at_ys = {nu: symfunc.eval_schur(nu, ys) for nu in partitions_up_to(6)}
         for lam in partitions_up_to(6):
             lhs = symfunc.eval_schur(lam, xs + ys)
-            rhs = sum(
-                (c * symfunc.eval_schur(mu, xs) * symfunc.eval_schur(nu, ys)
-                 for (mu, nu), c in symfunc.coproduct(lam)),
-                Fraction(0))
+            rhs = sum((c * at_xs[mu] * at_ys[nu] for (mu, nu), c in symfunc.coproduct(lam)),
+                      Fraction(0))
             yield None if lhs == rhs else f"lambda={lam}, point #{index}"
 
 

@@ -81,11 +81,6 @@ def test_rank_too_small_is_an_error():
         MixedWeight(EMPTY, EMPTY, 0)
 
 
-def test_highest_weight_layout():
-    w = MixedWeight(P([2, 1]), P([1]), 5)
-    assert w.highest_weight() == (2, 1, 0, 0, -1)
-
-
 def test_branching_examples():
     assert branching_identity_check(P([1]), 1, 1)
     assert branching_identity_check(P([2]), 2, 1)

@@ -179,3 +179,14 @@ def test_comparisons_agree_with_sort_key():
             a, b = lam.sort_key(), mu.sort_key()
             assert (lam < mu, lam <= mu, lam > mu, lam >= mu) == (a < b, a <= b, a > b, a >= b), \
                 (lam, mu)
+
+
+def test_a_partition_is_the_tuple_of_its_parts():
+    for p in partitions_up_to(6):
+        assert isinstance(p, tuple) and type(p.parts) is tuple
+        assert p == p.parts and hash(p) == hash(p.parts)
+        assert p[len(p)] == 0
+    with pytest.raises(AttributeError):  # no per-instance __dict__
+        Partition([2, 1]).extra = 1
+    with pytest.raises(TypeError):
+        Partition([2, 1])[1:]
