@@ -1,9 +1,11 @@
+import hashlib
 import json
 from math import comb, factorial
 
 import pytest
 
-from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to, syt_count
+from mackey.partitions import (
+    EMPTY, Partition, format_partition, partitions_of, partitions_up_to, syt_count)
 from mackey.socle import (
     SimpleConstituent,
     decompose_mixed_tensor,
@@ -151,6 +153,17 @@ def test_decompose_matches_the_nested_loops_in_order():
     grid = [(p, q) for p in range(11) for q in range(11)] + [(16, 12), (12, 16)]
     for p, q in grid:
         assert decompose_mixed_tensor(p, q) == decompose_by_nested_loops(p, q), (p, q)
+
+
+def test_decompose_at_degree_20_is_pinned():
+    # the largest call of the length workload, one "beta|gamma|mult" line per
+    # triple in output order, partitions in their text form
+    out = decompose_mixed_tensor(20, 20)
+    names = {lam: format_partition(lam) for lam in partitions_up_to(20)}
+    text = "".join([f"{names[beta]}|{names[gamma]}|{mult}\n" for beta, gamma, mult in out])
+    assert len(out) == 995_074
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "04e4df602ab56d6b9115aa5330b235b8766c528e47fed03df04a93b9be6edcac")
 
 
 def test_socle_report_json_round_trip():
