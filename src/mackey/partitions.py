@@ -95,28 +95,26 @@ class Partition(tuple):
         """True iff other's diagram fits inside self's (componentwise)."""
         return len(other) <= len(self) and all(map(int.__le__, other, self))
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """(row, col) coordinates of the diagram, 0-indexed."""
-        for i, row in enumerate(self):
-            for j in range(row):
-                yield (i, j)
-
-    def hook_length(self, i: int, j: int) -> int:
-        arm = self[i] - j - 1
-        leg = sum(1 for r in self.parts[i + 1:] if r > j)
-        return arm + leg + 1
-
 
 EMPTY = Partition()
+
+
+def _hook_product(lam: Partition) -> int:
+    """Product of the hook lengths of lam's cells. The hook of cell (i, j) is
+    its arm lam[i] - j - 1 plus its leg col - i - 1, col being the length of
+    column j read off the conjugate, plus the cell itself."""
+    cols = lam.conjugate()
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j, col in zip(range(row), cols):
+            hooks *= row - j + col - i - 1
+    return hooks
 
 
 @cache
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
-    hooks = 1
-    for i, j in lam.cells():
-        hooks *= lam.hook_length(i, j)
-    return factorial(lam.size) // hooks
+    return factorial(lam.size) // _hook_product(lam)
 
 
 def dim_schur(lam: Partition, n: int) -> int:
@@ -129,10 +127,10 @@ def dim_schur(lam: Partition, n: int) -> int:
     if len(lam) > n:
         return 0
     num = 1
-    den = 1
-    for i, j in lam.cells():
-        num *= n + j - i
-        den *= lam.hook_length(i, j)
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= n + j - i
+    den = _hook_product(lam)
     assert num % den == 0
     return num // den
 

@@ -14,6 +14,7 @@ power by simples.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb, factorial
@@ -94,20 +95,31 @@ def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, i
     finite rank before anything downstream is trusted. Triples come by r,
     then beta, then gamma, in partitions_of order; each depth builds one
     multiplicity row per f_beta, shared by conjugate betas.
+
+    The cyclic garbage collector is paused while the triples are built and
+    the caller's setting restored, also on an exception. The triples hold
+    only cached Partitions and ints, so they form no cycles; unpaused, each
+    full collection would re-walk the growing list.
     """
     if p < 0 or q < 0:
         raise ValueError("tensor degrees must be nonnegative")
     out = []
-    for r in range(min(p, q) + 1):
-        pairings = comb(p, r) * comb(q, r) * factorial(r)
-        gammas = partitions_of(q - r)
-        f_gammas = list(map(syt_count, gammas))
-        rows = {}
-        for beta in partitions_of(p - r):
-            f_beta = syt_count(beta)
-            if f_beta not in rows:
-                rows[f_beta] = [pairings * f_beta * f for f in f_gammas]
-            out.extend(zip(repeat(beta), gammas, rows[f_beta]))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for r in range(min(p, q) + 1):
+            pairings = comb(p, r) * comb(q, r) * factorial(r)
+            gammas = partitions_of(q - r)
+            f_gammas = list(map(syt_count, gammas))
+            rows = {}
+            for beta in partitions_of(p - r):
+                f_beta = syt_count(beta)
+                if f_beta not in rows:
+                    rows[f_beta] = [pairings * f_beta * f for f in f_gammas]
+                out.extend(zip(repeat(beta), gammas, rows[f_beta]))
+    finally:
+        if enabled:
+            gc.enable()
     return out
 
 

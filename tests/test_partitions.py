@@ -1,5 +1,5 @@
 from collections import Counter
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +27,19 @@ def partition_strategy(draw, max_n=10):
     bins = draw(st.lists(st.integers(min_value=0, max_value=k - 1),
                          min_size=n, max_size=n))
     return Partition(sorted(Counter(bins).values(), reverse=True))
+
+
+def cells(lam):
+    """(row, col) coordinates of the diagram, 0-indexed."""
+    return [(i, j) for i, row in enumerate(lam) for j in range(row)]
+
+
+def hook_length(lam, i, j):
+    """The hook of one cell, its leg counted over the rows below it: the
+    per-cell reference for the conjugate read by syt_count and dim_schur."""
+    arm = lam[i] - j - 1
+    leg = sum(1 for r in lam.parts[i + 1:] if r > j)
+    return arm + leg + 1
 
 
 def test_normalization_strips_zeros():
@@ -85,9 +98,9 @@ def test_contains_examples():
 def test_contains_is_inclusion_of_cell_sets():
     shapes = list(partitions_up_to(7))
     for lam in shapes:
-        cells = set(lam.cells())
+        lam_cells = set(cells(lam))
         for mu in shapes:  # mu may have more rows, or longer ones, than lam
-            assert lam.contains(mu) == (set(mu.cells()) <= cells), (lam, mu)
+            assert lam.contains(mu) == (set(cells(mu)) <= lam_cells), (lam, mu)
 
 
 @given(partition_strategy(max_n=8), partition_strategy(max_n=8))
@@ -121,6 +134,15 @@ def test_dim_schur_matches_ssyt_enumeration():
     for lam in partitions_up_to(5):
         for n in range(5):
             assert dim_schur(lam, n) == ssyt_count(lam.parts, n), (lam, n)
+
+
+def test_hook_formulas_match_the_per_cell_hooks():
+    for lam in partitions_up_to(12):
+        hooks = prod(hook_length(lam, i, j) for i, j in cells(lam))
+        assert syt_count(lam) == factorial(lam.size) // hooks, lam
+        for n in range(15):
+            expected = 0 if len(lam) > n else prod(n + j - i for i, j in cells(lam)) // hooks
+            assert dim_schur(lam, n) == expected, (lam, n)
 
 
 def test_dim_schur_vanishing():

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 from math import comb, factorial
 
 import pytest
 
+from mackey import socle
 from mackey.partitions import (
     EMPTY, Partition, format_partition, partitions_of, partitions_up_to, syt_count)
 from mackey.socle import (
@@ -164,6 +166,46 @@ def test_decompose_at_degree_20_is_pinned():
     assert len(out) == 995_074
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "04e4df602ab56d6b9115aa5330b235b8766c528e47fed03df04a93b9be6edcac")
+
+
+@pytest.fixture
+def collector_setting():
+    """Put the caller's garbage collector setting back after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_decompose_leaves_an_enabled_collector_enabled(collector_setting):
+    gc.enable()
+    assert decompose_mixed_tensor(6, 5) == decompose_by_nested_loops(6, 5)
+    assert gc.isenabled()
+
+
+def test_decompose_leaves_a_disabled_collector_disabled(collector_setting):
+    gc.disable()
+    assert decompose_mixed_tensor(6, 5) == decompose_by_nested_loops(6, 5)
+    assert not gc.isenabled()
+
+
+def test_decompose_restores_the_collector_when_the_build_raises(
+        collector_setting, monkeypatch):
+    # the 20th f_lambda is asked for at depth r = 1 of (6, 5), after the
+    # 77 triples of depth 0 are built
+    enabled_during_build = []
+
+    def syt_count_failing_at_20(lam):
+        enabled_during_build.append(gc.isenabled())
+        if len(enabled_during_build) == 20:
+            raise RuntimeError("20th f_lambda")
+        return syt_count(lam)
+
+    monkeypatch.setattr(socle, "syt_count", syt_count_failing_at_20)
+    gc.enable()
+    with pytest.raises(RuntimeError, match="20th f_lambda"):
+        decompose_mixed_tensor(6, 5)
+    assert gc.isenabled()
+    assert len(enabled_during_build) == 20 and not any(enabled_during_build)
 
 
 def test_socle_report_json_round_trip():
