@@ -78,6 +78,31 @@ def test_schur_product_commutes():
                     assert schur_product(mu, nu) == schur_product(nu, mu), (mu, nu)
 
 
+def _full_probe_product(mu, nu):
+    """s_mu * s_nu by definition: every lam of size |mu| + |nu| probed
+    through lr_coefficient on the skew shape of mu and nu placed corner to
+    corner."""
+    width = nu[0]
+    outer = P([part + width for part in mu] + list(nu))
+    inner = P([width] * len(mu))
+    out = {}
+    for lam in partitions_of(mu.size + nu.size):
+        c = lr_coefficient(outer, inner, lam)
+        if c:
+            out[lam] = c
+    return SchurExpr(out)
+
+
+def test_schur_product_matches_the_full_probe():
+    for total in range(11):
+        for k in range(total + 1):
+            for mu in partitions_of(k):
+                for nu in partitions_of(total - k):
+                    reference = _full_probe_product(mu, nu)
+                    assert schur_product(mu, nu) == reference, (mu, nu)
+                    assert list(schur_product(mu, nu)) == list(reference), (mu, nu)
+
+
 def test_schur_product_support_degree():
     expr = schur_product(P([2, 1]), P([2]))
     assert all(lam.size == 5 for lam, _ in expr)
