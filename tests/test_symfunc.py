@@ -153,17 +153,21 @@ def test_coproduct_matches_the_full_probe():
 
 
 def test_no_zero_coefficient_is_read(monkeypatch):
-    # products and coproducts read only the entries their skew tables list
+    # products and coproducts look up only the entries their skew tables list
+    tables, misses, original = [], [], symfunc._skew_table
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            if key not in self:
+                misses.append(key)
+            return dict.get(self, key, default)
+
+    def recording(outer, inner):
+        tables.append(Recording(original(outer, inner)))
+        return tables[-1]
+
     coproduct.cache_clear()
-    symfunc._skew_table.cache_clear()
-    read = []
-    original = symfunc.lr_coefficient
-
-    def recording(lam, mu, nu):
-        read.append(original(lam, mu, nu))
-        return read[-1]
-
-    monkeypatch.setattr(symfunc, "lr_coefficient", recording)
+    monkeypatch.setattr(symfunc, "_skew_table", recording)
     for lam in partitions_up_to(10):
         coproduct(lam)
     for total in range(9):
@@ -171,7 +175,7 @@ def test_no_zero_coefficient_is_read(monkeypatch):
             for mu in partitions_of(k):
                 for nu in partitions_of(total - k):
                     schur_product(mu, nu)
-    assert read and 0 not in read
+    assert tables and not misses
 
 
 def test_skew_tables_share_one_partition_per_content():
