@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -15,7 +16,7 @@ from mackey.socle import (
     socle_layers,
     tensor_length,
 )
-from mackey.symfunc import lr_coefficient
+from mackey.symfunc import coproduct, lr_coefficient
 
 P = Partition
 
@@ -66,6 +67,25 @@ def test_socle_layer_invariants():
                 assert c.multiplicity == lr_coefficient(lam, c.alpha, c.beta)
         assert as_tuples(report)[0] == {(EMPTY, lam, mu, 1)}
         assert as_tuples(report)[-1] == {(lam, EMPTY, mu, 1)}
+
+
+def layers_by_sorted_coproduct(lam, mu):
+    """Every coproduct term of s_lam in degree-then-lex order of alpha, then
+    of beta, split by |alpha|: the reference order of socle_layers."""
+    layers = [[] for _ in range(lam.size + 1)]
+    terms = sorted(coproduct(lam).terms.items(),
+                   key=lambda term: (term[0][0].sort_key(), term[0][1].sort_key()))
+    for (alpha, beta), c in terms:
+        layers[alpha.size].append((alpha, beta, mu, c))
+    return layers
+
+
+def test_socle_layers_come_in_the_order_of_the_sorted_coproduct():
+    for lam in partitions_up_to(12):
+        for mu in (EMPTY, P([2, 1])):
+            report = socle_layers(lam, mu)
+            assert [[(c.alpha, c.beta, c.mu, c.multiplicity) for c in layer]
+                    for layer in report.layers] == layers_by_sorted_coproduct(lam, mu), (lam, mu)
 
 
 def test_simple_length_values():
@@ -219,3 +239,16 @@ def test_socle_report_json_round_trip():
 def test_constituent_rejects_zero_multiplicity():
     with pytest.raises(ValueError):
         SimpleConstituent(EMPTY, EMPTY, EMPTY, 0)
+
+
+def test_constituents_and_reports_take_dataclasses_replace():
+    report = socle_layers(P([2, 1]), P([1]))
+    c = report.layers[1][0]
+    bumped = dataclasses.replace(c, multiplicity=2)
+    assert (bumped.alpha, bumped.beta, bumped.mu, bumped.multiplicity) == (
+        c.alpha, c.beta, c.mu, 2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(c, multiplicity=0)
+    shorter = dataclasses.replace(report, layers=report.layers[:-1])
+    assert (shorter.lam, shorter.mu, shorter.layers) == (
+        report.lam, report.mu, report.layers[:-1])
