@@ -23,9 +23,13 @@ from .partitions import Partition, partitions_of, syt_count
 from .symfunc import coproduct
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimpleConstituent:
-    """One simple summand S_alpha(V*/V_*) (x) V_{beta,mu} of a socle layer."""
+    """One simple summand S_alpha(V*/V_*) (x) V_{beta,mu} of a socle layer.
+
+    Slotted and not frozen, so that building one sets four slots and no
+    more: a constituent is mutable and unhashable.
+    """
 
     alpha: Partition
     beta: Partition
@@ -68,19 +72,32 @@ def socle_layers(lam: Partition, mu: Partition) -> SocleReport:
     """Socle filtration of the simple module W_{lam,mu} restricted to the
     Mackey Lie algebra. Layer k holds (alpha, beta, mu, c^lam_{alpha beta})
     over alpha of size k; there are |lam|+1 layers and each is nonempty.
+
+    Within a layer the constituents come by alpha, then by beta, each by its
+    parts. The coproduct's terms are put in one bucket per |alpha| and each
+    bucket is sorted once on the plain tuples of the parts: all alphas of a
+    layer have one size, and so do all betas, so this is the degree-then-lex
+    order of Partition.sort_key without a call to it per comparison.
     """
-    delta = coproduct(lam)
-    layers: list[list[SimpleConstituent]] = [[] for _ in range(lam.size + 1)]
-    for (alpha, beta), c in delta:
-        layers[alpha.size].append(SimpleConstituent(alpha, beta, mu, c))
-    return SocleReport(lam, mu, tuple(tuple(layer) for layer in layers))
+    buckets: list[list] = [[] for _ in range(lam.size + 1)]
+    for term in coproduct(lam).terms.items():  # ((alpha, beta), c)
+        buckets[term[0][0].size].append(term)
+    return SocleReport(lam, mu, tuple(
+        tuple([SimpleConstituent(alpha, beta, mu, c)
+               for (alpha, beta), c in sorted(bucket, key=_by_parts)])
+        for bucket in buckets))
+
+
+def _by_parts(term: tuple) -> tuple:
+    (alpha, beta), _ = term
+    return tuple(alpha), tuple(beta)
 
 
 def simple_length(lam: Partition, mu: Partition) -> int:
     """Length of W_{lam,mu} over the Mackey Lie algebra: the total number of
     coproduct terms of s_lam counted with multiplicity. Independent of mu.
     """
-    return sum(c for _, c in coproduct(lam))
+    return sum(coproduct(lam).terms.values())
 
 
 def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, int]]:
