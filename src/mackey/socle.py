@@ -26,10 +26,7 @@ from .symfunc import coproduct
 @dataclass(slots=True)
 class SimpleConstituent:
     """One simple summand S_alpha(V*/V_*) (x) V_{beta,mu} of a socle layer.
-
-    Slotted and not frozen, so that building one sets four slots and no
-    more: a constituent is mutable and unhashable.
-    """
+    Slotted and not frozen, so cheap to build: mutable and unhashable."""
 
     alpha: Partition
     beta: Partition
@@ -73,11 +70,9 @@ def socle_layers(lam: Partition, mu: Partition) -> SocleReport:
     Mackey Lie algebra. Layer k holds (alpha, beta, mu, c^lam_{alpha beta})
     over alpha of size k; there are |lam|+1 layers and each is nonempty.
 
-    Within a layer the constituents come by alpha, then by beta, each by its
-    parts. The coproduct's terms are put in one bucket per |alpha| and each
-    bucket is sorted once on the plain tuples of the parts: all alphas of a
-    layer have one size, and so do all betas, so this is the degree-then-lex
-    order of Partition.sort_key without a call to it per comparison.
+    Within a layer the constituents come by alpha, then by beta, by parts:
+    each |alpha| gets one bucket of coproduct terms, sorted once on plain
+    tuples, which within a layer is the order of Partition.sort_key.
     """
     buckets: list[list] = [[] for _ in range(lam.size + 1)]
     for term in coproduct(lam).terms.items():  # ((alpha, beta), c)
