@@ -187,6 +187,8 @@ def test_negative_degree_is_usage_error(capsys):
      "parts are positive integers in ASCII digits, without leading zeros"),
     (["dim", "--rank", "1", "--lambda", "1", "--mu", "1"], {},
      "error: rank 1 too small for bipartition with 1+1 rows"),
+    (["dim", "--rank", "0", "--lambda", "-", "--mu", "-"], {},
+     "error: rank must be positive"),
     (["verify", "brute"], {"SOCLE_BUDGET": "abc"},
      "error: SOCLE_BUDGET must be an integer, got 'abc'"),
 ])
