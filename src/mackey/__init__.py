@@ -6,6 +6,7 @@ finite-rank engine.
 from .partitions import (
     EMPTY,
     Partition,
+    dim_mixed,
     dim_schur,
     format_partition,
     parse_partition,
@@ -27,18 +28,15 @@ from .socle import (
     socle_layers,
     tensor_length,
 )
-from .finrank import MixedWeight, branching_identity_check, dim_mixed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EMPTY",
-    "MixedWeight",
     "Partition",
     "SchurExpr",
     "SimpleConstituent",
     "SocleReport",
-    "branching_identity_check",
     "coproduct",
     "decompose_mixed_tensor",
     "dim_mixed",

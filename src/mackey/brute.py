@@ -35,7 +35,6 @@ from .linalg import (
     integer_rows,
     nullspace,
     rank,
-    zero_vec,
 )
 from .partitions import Partition
 
@@ -586,37 +585,6 @@ def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
                 k for k, pos in enumerate(members) if grades[pos] <= step]))
             for members in blocks.positions])
         for step in range(module.star_slots + 1)])
-
-
-def vandermonde_span(components: Sequence[Sequence[Fraction]],
-                     h: SparseMatrix) -> int:
-    """Dimension of span{x, hx, ..., h^d x} for x the sum of the given
-    eigenvector components, d+1 the component count. With distinct
-    eigenvalues the Vandermonde matrix of the powers forces full dimension.
-    """
-    if not components:
-        raise ValueError("need at least one component")
-    eigenvalues = []
-    for comp in components:
-        comp = [Fraction(c) for c in comp]
-        if not any(comp):
-            raise ValueError("components must be nonzero")
-        image = h.apply(comp)
-        lead = next(i for i, c in enumerate(comp) if c)
-        t = image[lead] / comp[lead]
-        if image != [t * c for c in comp]:
-            raise ValueError("component is not an eigenvector of h")
-        eigenvalues.append(t)
-    if len(set(eigenvalues)) != len(eigenvalues):
-        raise ValueError("repeated eigenvalue among the components")
-    x = zero_vec(h.dim)
-    for comp in components:
-        for i, c in enumerate(comp):
-            x[i] += Fraction(c)
-    powers = [x]
-    for _ in range(len(components) - 1):
-        powers.append(h.apply(powers[-1]))
-    return rank(powers)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from decimal import Decimal
 
 from . import verify
 from .brute import DEFAULT_BUDGET, BudgetExceededError
-from .finrank import MixedWeight, dim_mixed
-from .partitions import Partition, format_partition, parse_partition
+from .partitions import Partition, dim_mixed, format_partition, parse_partition
 from .socle import SocleReport, simple_length, socle_layers, tensor_length
 from .symfunc import coproduct, lr_coefficient
 
@@ -139,7 +138,7 @@ def cmd_coproduct(args) -> int:
 def cmd_dim(args) -> int:
     lam = _parse_partition(args.lam, "--lambda")
     mu = _parse_partition(args.mu, "--mu")
-    _print_int(dim_mixed(MixedWeight(lam, mu, args.rank)))
+    _print_int(dim_mixed(lam, mu, args.rank))
     return 0
 
 

@@ -1,5 +1,6 @@
-"""Integer partitions, Young diagram arithmetic, and the classical
-hook-length / hook-content counting formulas.
+"""Integer partitions, Young diagram arithmetic, the classical
+hook-length / hook-content counting formulas, and the Weyl dimension of the
+traceless mixed tensor modules of gl(n).
 
 Everything here is exact: counts are Python ints (arbitrary precision),
 partitions are tuples, normalized on construction.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 
@@ -132,6 +133,45 @@ def dim_schur(lam: Partition, n: int) -> int:
             num *= n + j - i
     den = _hook_product(lam)
     assert num % den == 0
+    return num // den
+
+
+def dim_mixed(beta: Partition, gamma: Partition, n: int) -> int:
+    """Dimension of the traceless mixed tensor module V_{beta,gamma} of gl(n),
+    the simple of highest weight (beta_1..beta_s, 0..0, -gamma_t..-gamma_1),
+    by the Weyl dimension formula.
+
+    Exact integer arithmetic over the positive roots of gl(n); the final
+    division is asserted exact, which catches weight-construction mistakes
+    immediately. Symmetric under swapping beta and gamma (the dual module).
+    A pair of zero rows of the highest weight contributes 1, and a row of
+    weight h against the zeros at distances lo..hi contributes
+    prod_{d=lo}^{hi} (h + d) / d = C(h + hi, h) / C(h + lo - 1, h), so the
+    time does not depend on the rank.
+    """
+    s, t = len(beta), len(gamma)
+    if n < 1:
+        raise ValueError("rank must be positive")
+    if s + t > n:
+        # not a vanishing Schur functor: the simple does not exist at
+        # this rank, and a silent 0 would corrupt dimension sums
+        raise ValueError(f"rank {n} too small for bipartition with {s}+{t} rows")
+    zeros = n - s - t
+    rows = list(enumerate(beta))
+    rows += [(n - 1 - k, -g) for k, g in enumerate(gamma)]
+    num = 1
+    den = 1
+    for i, a in rows:
+        for j, c in rows:
+            if i < j:
+                num *= a - c + j - i
+                den *= j - i
+        # distances from row i to the zero rows s..s+zeros-1
+        lo, hi = (s - i, s + zeros - 1 - i) if a > 0 else (i - s - zeros + 1, i - s)
+        h = abs(a)
+        num *= comb(h + hi, h)
+        den *= comb(h + lo - 1, h)
+    assert num % den == 0, "Weyl dimension formula produced a non-integer"
     return num // den
 
 

@@ -52,10 +52,12 @@ class SchurExpr:
 
 
 def _term_order(term: tuple) -> tuple:
+    """Partition.sort_key of the key or of each side of a pair, in plain tuples."""
     key = term[0]
     if isinstance(key, Partition):
-        return key.sort_key()
-    return (key[0].sort_key(), key[1].sort_key())
+        return (sum(key), tuple(key))
+    left, right = key
+    return (sum(left), tuple(left), sum(right), tuple(right))
 
 
 # One Partition per content, validated once and shared by every skew table.

@@ -2,8 +2,9 @@
 multiples of mackey.linalg.SparseMatrix, for checking brackets and
 conjugating modules, the diagonal of a matrix, for checking weights, the
 intersection of two subspaces, the dense Fraction elimination that
-mackey.linalg's integer kernel replaced, kept as its reference, and the
-p/q text dumps of matrices and filtrations that the golden files hold.
+mackey.linalg's integer kernel replaced, kept as its reference, the
+Vandermonde rows of the powers of a diagonal matrix, and the p/q text dumps
+of matrices and filtrations that the golden files hold.
 """
 
 from fractions import Fraction
@@ -121,6 +122,14 @@ def intersection(a: Subspace, b: Subspace) -> Subspace:
             add_scaled(w, ai, c)
         vecs.append(w)
     return Subspace(a.ambient, vecs)
+
+
+def vandermonde_powers(count: int) -> list[list[Fraction]]:
+    """x, hx, ..., h^(count-1) x for h = diag((count+1)^j), j = 1..count, and
+    x the sum of the unit vectors: the rows of a Vandermonde matrix in
+    count distinct eigenvalues."""
+    eigenvalues = [(count + 1) ** j for j in range(1, count + 1)]
+    return [[Fraction(e ** k) for e in eigenvalues] for k in range(count)]
 
 
 def format_rational(x) -> str:

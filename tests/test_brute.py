@@ -17,7 +17,6 @@ from mackey.brute import (
     socle_filtration_parabolic,
     traceless_dimension,
     traceless_subspace,
-    vandermonde_span,
     young_project,
 )
 from mackey import brute
@@ -379,7 +378,7 @@ def test_grade_filtration_meets_traceless():
                 assert step.contains(a.apply(v))
 
 
-# --- weight blocks and Vandermonde spans ------------------------------------
+# --- weight blocks ----------------------------------------------------------
 
 def weight_dims(module, labels):
     blocks = _weight_blocks(module, labels)
@@ -409,27 +408,6 @@ def test_weight_decompose_rejects_non_diagonal():
     module = build_tensor_module(2, 1, 0)
     blocks = _weight_blocks(module, [(1, 2)])
     assert blocks.indices == [] and blocks.positions == [[0, 1]]
-
-
-def test_vandermonde_span_examples():
-    assert vandermonde_span([vec([7])], SparseMatrix.diagonal([3])) == 1
-    h3 = SparseMatrix.diagonal([1, 2, 3])
-    comps = [unit_vec(3, i) for i in range(3)]
-    assert vandermonde_span(comps, h3) == 3
-    h4 = SparseMatrix.diagonal([5, 25, 125, 625])
-    comps4 = [unit_vec(4, i) for i in range(4)]
-    assert vandermonde_span(comps4, h4) == 4
-
-
-def test_vandermonde_rejects_repeats_and_non_eigenvectors():
-    h = SparseMatrix.diagonal([1, 1])
-    with pytest.raises(ValueError):
-        vandermonde_span([unit_vec(2, 0), unit_vec(2, 1)], h)
-    h2 = SparseMatrix.diagonal([1, 2])
-    with pytest.raises(ValueError):
-        vandermonde_span([vec([1, 1])], h2)
-    with pytest.raises(ValueError):
-        vandermonde_span([vec([0, 0])], h2)
 
 
 # --- restriction, quotients, counting ---------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mackey import cli, finrank, verify
+from mackey import cli, verify
 from mackey.cli import canonical_json, main
 from mackey.socle import tensor_length
 
@@ -187,10 +187,10 @@ def test_negative_degree_is_usage_error(capsys):
      "parts are positive integers in ASCII digits, without leading zeros"),
     (["dim", "--rank", "1", "--lambda", "1", "--mu", "1"], {},
      "error: rank 1 too small for bipartition with 1+1 rows"),
-    (["dim", "--rank", "0", "--lambda", "-", "--mu", "-"], {},
-     "error: rank must be positive"),
     (["verify", "brute"], {"SOCLE_BUDGET": "abc"},
      "error: SOCLE_BUDGET must be an integer, got 'abc'"),
+    (["dim", "--rank", "0", "--lambda", "-", "--mu", "-"], {},
+     "error: rank must be positive"),
 ])
 def test_a_usage_error_exits_2_with_its_line(argv, env, line):
     result = subprocess.run([sys.executable, "-m", "mackey", *argv],
@@ -206,22 +206,24 @@ def test_unknown_suite_is_usage_error():
 
 
 @pytest.mark.parametrize("suite, first, last", [
-    ("hopf", 1, 6), ("branching", 7, 7), ("brute", 8, 13)])
+    ("hopf", 1, 6), ("branching", 7, 7), ("brute", 8, 12)])
 def test_each_suite_prints_its_lines_of_verify_all(capsys, suite, first, last):
     code, out, err = run_cli(capsys, "verify", suite)
     assert code == 0 and err == ""
     golden = (GOLDEN / "verify_all.txt").read_text().splitlines(keepends=True)
-    assert len(golden) == 13
+    assert len(golden) == 12
     assert out == "".join(golden[first - 1:last])
 
 
 def test_a_failing_check_reports_its_count_and_first_case(capsys, monkeypatch):
-    monkeypatch.setattr(finrank, "branching_identity_check",
-                        lambda lam, a, b: not (lam.size == 3 and a == 2 and b == 1))
+    # off by one at rank 5, which only the left side a + b reaches
+    real = verify.dim_schur
+    monkeypatch.setattr(verify, "dim_schur",
+                        lambda lam, n: real(lam, n) + (lam.size == 3 and n == 5))
     code, out, err = run_cli(capsys, "verify", "branching")
     assert code == 1
     assert out == ("[FAIL] branching dimension identity: "
-                   "3/270 cases failed; first: lambda=3, a=2, b=1\n")
+                   "6/270 cases failed; first: lambda=3, a=2, b=3\n")
     assert err == "1 of 1 checks failed\n"
 
 

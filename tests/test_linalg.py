@@ -14,7 +14,7 @@ from mackey.linalg import (
 )
 
 from matrix_ops import (compose, dense_nullspace, dense_rref, diagonal, dump_matrix,
-                        format_rational, intersection, reduce)
+                        format_rational, intersection, reduce, vandermonde_powers)
 
 F = Fraction
 
@@ -95,6 +95,13 @@ def test_sparse_matrix_diagonal():
     assert diagonal(d) == vec([1, -2, 0])
     nd = SparseMatrix.from_entries(2, [(0, 1, F(1))])
     assert diagonal(nd) is None
+
+
+def test_powers_of_a_diagonal_on_the_sum_of_its_eigenvectors_have_full_rank():
+    # distinct eigenvalues make the rows a nonsingular Vandermonde matrix, so
+    # the weight components of a vector lie in the span of its orbit under h
+    for count in range(1, 7):
+        assert rank(vandermonde_powers(count)) == count
 
 
 def test_dump_format_is_p_over_q():

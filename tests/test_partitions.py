@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from math import factorial, prod
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from mackey.partitions import (
     EMPTY,
     Partition,
+    dim_mixed,
     dim_schur,
     format_partition,
     parse_partition,
@@ -148,6 +150,74 @@ def test_hook_formulas_match_the_per_cell_hooks():
 def test_dim_schur_vanishing():
     assert dim_schur(Partition([1, 1, 1]), 2) == 0
     assert dim_schur(Partition([1, 1]), 2) == 1
+
+
+def test_dim_mixed_examples():
+    assert dim_mixed(EMPTY, EMPTY, 4) == 1
+    assert dim_mixed(Partition([1]), Partition([1]), 3) == 8  # adjoint of sl(3)
+    assert dim_mixed(Partition([2]), Partition([1]), 4) == 36
+
+
+def test_dim_mixed_vector_modules():
+    for n in range(1, 7):
+        assert dim_mixed(Partition([1]), EMPTY, n) == n
+        assert dim_mixed(EMPTY, Partition([1]), n) == n
+
+
+def test_dim_mixed_covariant_is_schur_dimension():
+    for n in range(1, 6):
+        for lam in partitions_up_to(4):
+            if len(lam) > n:
+                continue
+            assert dim_mixed(lam, EMPTY, n) == dim_schur(lam, n)
+
+
+def test_dim_mixed_swap_symmetry():
+    for n in range(1, 7):
+        for total in range(6):
+            for k in range(total + 1):
+                for beta in partitions_of(k):
+                    for gamma in partitions_of(total - k):
+                        if len(beta) + len(gamma) > n:
+                            continue
+                        assert dim_mixed(beta, gamma, n) == dim_mixed(gamma, beta, n)
+
+
+def weyl_product(beta, gamma, n):
+    """Plain Weyl dimension formula over every pair of rows."""
+    zeros = n - len(beta) - len(gamma)
+    hw = list(beta.parts) + [0] * zeros + [-g for g in reversed(gamma.parts)]
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= hw[i] - hw[j] + j - i
+            den *= j - i
+    return num // den
+
+
+def test_dim_mixed_matches_the_plain_weyl_product():
+    cases = 0
+    for beta in partitions_up_to(6):
+        for gamma in partitions_up_to(6 - beta.size):
+            for n in range(max(1, len(beta) + len(gamma)), 9):
+                assert dim_mixed(beta, gamma, n) == weyl_product(beta, gamma, n), (beta, gamma, n)
+                cases += 1
+    assert cases == 810
+
+
+def test_dim_mixed_time_does_not_grow_with_the_rank():
+    start = time.monotonic()
+    assert dim_mixed(Partition([1]), EMPTY, 10**9) == 10**9
+    assert dim_mixed(EMPTY, Partition([1, 1]), 10**9) == 10**9 * (10**9 - 1) // 2
+    assert dim_mixed(Partition([1]), Partition([1]), 10**9) == 10**18 - 1  # adjoint of sl(10^9)
+    assert time.monotonic() - start < 1
+
+
+def test_rank_too_small_is_an_error():
+    with pytest.raises(ValueError, match="^rank 3 too small for bipartition with 2\\+2 rows$"):
+        dim_mixed(Partition([1, 1]), Partition([1, 1]), 3)
+    with pytest.raises(ValueError, match="^rank must be positive$"):
+        dim_mixed(EMPTY, EMPTY, 0)
 
 
 def test_partitions_of_counts():
