@@ -221,10 +221,18 @@ def test_rank_too_small_is_an_error():
 
 
 def test_partitions_of_counts():
-    # partition numbers p(0)..p(10)
-    expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    # partition numbers p(0)..p(20), the largest degree of the length workload;
+    # each element is a Partition equal to its validated copy, and the
+    # elements come in strictly decreasing lex order
+    expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42,
+                56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
     for n, count in enumerate(expected):
-        assert len(partitions_of(n)) == count
+        parts = partitions_of(n)
+        assert len(parts) == count
+        for lam in parts:
+            assert type(lam) is Partition, lam
+            assert lam == Partition(list(lam)), lam
+        assert all(a > b for a, b in zip(map(tuple, parts), map(tuple, parts[1:]))), n
 
 
 def test_text_form_round_trip():
