@@ -76,16 +76,19 @@ def _print_int(value: int) -> None:
 
 
 def render_socle_text(report: SocleReport) -> str:
+    # every constituent carries the report's one mu, and the alphas and betas
+    # repeat across constituents: each shape is formatted once
+    mu = format_partition(report.mu)
+    shapes = {lam for layer in report.layers for c in layer for lam in (c.alpha, c.beta)}
+    names = {lam: format_partition(lam) for lam in shapes}
     lines = [
-        f"socle filtration of W(lambda={format_partition(report.lam)}, "
-        f"mu={format_partition(report.mu)}): "
+        f"socle filtration of W(lambda={format_partition(report.lam)}, mu={mu}): "
         f"{len(report.layers)} layers, length {report.length()}"
     ]
     for k, layer in enumerate(report.layers):
-        rendered = "; ".join(
-            f"(alpha={format_partition(c.alpha)}, beta={format_partition(c.beta)}, "
-            f"mu={format_partition(c.mu)}) x{c.multiplicity}"
-            for c in layer)
+        rendered = "; ".join([
+            f"(alpha={names[c.alpha]}, beta={names[c.beta]}, mu={mu}) x{c.multiplicity}"
+            for c in layer])
         lines.append(f"layer {k}: {rendered}")
     return "\n".join(lines)
 

@@ -101,15 +101,19 @@ EMPTY = Partition()
 
 
 def _hook_product(lam: Partition) -> int:
-    """Product of the hook lengths of lam's cells. The hook of cell (i, j) is
-    its arm lam[i] - j - 1 plus its leg col - i - 1, col being the length of
-    column j read off the conjugate, plus the cell itself."""
-    cols = lam.conjugate()
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j, col in zip(range(row), cols):
-            hooks *= row - j + col - i - 1
-    return hooks
+    """Product of the hook lengths of lam's cells, from the first-column
+    hooks l_i = lam_i + len(lam) - 1 - i alone (Frobenius's form of the hook
+    length formula): prod l_i! / prod_{i<j} (l_i - l_j). Row i's hooks are
+    1..l_i without the differences l_i - l_j, j > i, so no conjugate and no
+    loop over the cells is needed."""
+    ell = len(lam)
+    firsts = [row + ell - 1 - i for i, row in enumerate(lam)]
+    num = den = 1
+    for i, a in enumerate(firsts):
+        num *= factorial(a)
+        for b in firsts[i + 1:]:
+            den *= a - b
+    return num // den
 
 
 @cache
@@ -188,7 +192,10 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     out = []
     for first in range(bound, 0, -1):
         for rest in partitions_of(n - first, first):
-            out.append(Partition((first,) + rest))
+            # (first,) + rest has positive, weakly decreasing parts by
+            # construction (rest's parts are at most first), so it skips
+            # the validation of Partition.__new__
+            out.append(tuple.__new__(Partition, (first,) + rest))
     return tuple(out)
 
 

@@ -105,8 +105,10 @@ def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, i
     The multiplicity formula is standard Schur-Weyl bookkeeping for mixed
     tensors; the verify suite re-derives it from contraction-kernel ranks at
     finite rank before anything downstream is trusted. Triples come by r,
-    then beta, then gamma, in partitions_of order; each depth builds one
-    multiplicity row per f_beta, shared by conjugate betas.
+    then beta, then gamma, in partitions_of order. Each depth folds the
+    pairings into the gamma side once, pairings * f_gamma, and builds one
+    multiplicity row per f_beta from it, one multiply per entry, shared by
+    conjugate betas.
 
     The cyclic garbage collector is paused while the triples are built and
     the caller's setting restored, also on an exception. The triples hold
@@ -122,12 +124,12 @@ def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, i
         for r in range(min(p, q) + 1):
             pairings = comb(p, r) * comb(q, r) * factorial(r)
             gammas = partitions_of(q - r)
-            f_gammas = list(map(syt_count, gammas))
+            scaled = [pairings * syt_count(gamma) for gamma in gammas]
             rows = {}
             for beta in partitions_of(p - r):
                 f_beta = syt_count(beta)
                 if f_beta not in rows:
-                    rows[f_beta] = [pairings * f_beta * f for f in f_gammas]
+                    rows[f_beta] = [f_beta * x for x in scaled]
                 out.extend(zip(repeat(beta), gammas, rows[f_beta]))
     finally:
         if enabled:

@@ -172,7 +172,7 @@ def decompose_by_nested_loops(p, q):
 
 
 def test_decompose_matches_the_nested_loops_in_order():
-    grid = [(p, q) for p in range(11) for q in range(11)] + [(16, 12), (12, 16)]
+    grid = [(p, q) for p in range(11) for q in range(11)] + [(16, 12), (12, 16), (20, 8), (8, 20)]
     for p, q in grid:
         assert decompose_mixed_tensor(p, q) == decompose_by_nested_loops(p, q), (p, q)
 
