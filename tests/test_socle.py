@@ -81,11 +81,13 @@ def layers_by_sorted_coproduct(lam, mu):
 
 
 def test_socle_layers_come_in_the_order_of_the_sorted_coproduct():
-    for lam in partitions_up_to(12):
-        for mu in (EMPTY, P([2, 1])):
-            report = socle_layers(lam, mu)
-            assert [[(c.alpha, c.beta, c.mu, c.multiplicity) for c in layer]
-                    for layer in report.layers] == layers_by_sorted_coproduct(lam, mu), (lam, mu)
+    # size 13 has the largest buckets that any test sorts
+    cases = [(lam, mu) for lam in partitions_up_to(12) for mu in (EMPTY, P([2, 1]))]
+    cases += [(lam, EMPTY) for lam in partitions_of(13)]
+    for lam, mu in cases:
+        report = socle_layers(lam, mu)
+        assert [[(c.alpha, c.beta, c.mu, c.multiplicity) for c in layer]
+                for layer in report.layers] == layers_by_sorted_coproduct(lam, mu), (lam, mu)
 
 
 def test_simple_length_values():

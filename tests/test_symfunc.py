@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 
 from mackey import symfunc
 from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to
@@ -176,6 +178,74 @@ def test_no_zero_coefficient_is_read(monkeypatch):
                 for nu in partitions_of(total - k):
                     schur_product(mu, nu)
     assert tables and not misses
+
+
+def _reference_skew_table(outer, inner):
+    """{nu: c^outer_{inner nu}} by the enumerator the skew tables had before
+    their neighbours were found by arithmetic: the cells of outer/inner in
+    reverse reading order, looked up by (row, column) in a dict, and the
+    LR tableaux tallied in a Counter. Its entries come in the order of first
+    tally."""
+    if not outer.contains(inner):
+        return {}
+    top = len(outer)
+    cells = [(i, j) for i, (row, skip) in enumerate(zip_longest(outer, inner, fillvalue=0))
+             for j in range(row - 1, skip - 1, -1)]
+    n, where = len(cells), {cell: pos for pos, cell in enumerate(cells)}
+    right = [where.get((i, j + 1), n) for i, j in cells]
+    above = [where.get((i - 1, j), n + 1) for i, j in cells]
+    fill = [0] * n + [top, 0]
+    counts = [n + 1] + [0] * (top + 1)
+    tally = Counter()
+    pos = 0
+    while pos >= 0:
+        if pos == n:
+            tally[tuple(counts[1:counts.index(0, 1)])] += 1
+        else:
+            e, hi = fill[pos] + 1, fill[right[pos]]
+            while e <= hi and counts[e] >= counts[e - 1]:
+                e += 1
+            if e <= hi:
+                fill[pos] = e
+                counts[e] += 1
+                pos += 1
+                if pos < n:
+                    fill[pos] = fill[above[pos]]
+                continue
+        pos -= 1
+        counts[fill[pos]] -= 1
+    return dict(tally)
+
+
+def _reference_grid():
+    """(outer, inner) pairs: every outer of size at most 10 with every inner
+    it contains; mu and nu of total size at most 10 placed corner to corner,
+    as schur_product places them; and the tables lam/mu with
+    |mu| >= ceil(|lam|/2) of every lam of size 13 and 14, the ones the
+    coproduct builds there."""
+    for lam in partitions_up_to(10):
+        for mu in partitions_up_to(lam.size):
+            if lam.contains(mu):
+                yield lam, mu
+    for total in range(11):
+        for k in range(total + 1):
+            for mu in partitions_of(k):
+                for nu in partitions_of(total - k):
+                    width = nu[0]
+                    yield (P([part + width for part in mu] + list(nu)),
+                           P([width] * len(mu)))
+    for n in (13, 14):
+        for lam in partitions_of(n):
+            for k in range((n + 1) // 2, n + 1):
+                for mu in partitions_of(k):
+                    if lam.contains(mu):
+                        yield lam, mu
+
+
+def test_skew_tables_match_the_reference_enumerator_in_order():
+    for outer, inner in _reference_grid():
+        assert list(symfunc._skew_table(outer, inner).items()) == \
+            list(_reference_skew_table(outer, inner).items()), (outer, inner)
 
 
 def test_skew_tables_share_one_partition_per_content():
