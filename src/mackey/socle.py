@@ -71,12 +71,12 @@ def socle_layers(lam: Partition, mu: Partition) -> SocleReport:
     over alpha of size k; there are |lam|+1 layers and each is nonempty.
 
     Within a layer the constituents come by alpha, then by beta, by parts:
-    each |alpha| gets one bucket of coproduct terms, sorted once on plain
-    tuples, which within a layer is the order of Partition.sort_key.
+    each |alpha| gets one bucket of coproduct terms, sorted once on one plain
+    tuple per term, which within a layer is the order of Partition.sort_key.
     """
     buckets: list[list] = [[] for _ in range(lam.size + 1)]
     for term in coproduct(lam).terms.items():  # ((alpha, beta), c)
-        buckets[term[0][0].size].append(term)
+        buckets[sum(term[0][0])].append(term)
     return SocleReport(lam, mu, tuple(
         tuple([SimpleConstituent(alpha, beta, mu, c)
                for (alpha, beta), c in sorted(bucket, key=_by_parts)])
@@ -84,8 +84,11 @@ def socle_layers(lam: Partition, mu: Partition) -> SocleReport:
 
 
 def _by_parts(term: tuple) -> tuple:
-    (alpha, beta), _ = term
-    return tuple(alpha), tuple(beta)
+    """alpha's parts then beta's, in one plain tuple: within a bucket all
+    alphas have one size, so none is a prefix of another and the tuple
+    orders by alpha first, then by beta."""
+    alpha, beta = term[0]
+    return alpha + beta
 
 
 def simple_length(lam: Partition, mu: Partition) -> int:

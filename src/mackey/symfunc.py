@@ -14,10 +14,8 @@ with the tableau enumeration.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import Partition, partitions_of
@@ -31,7 +29,8 @@ class SchurExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | Iterable[tuple] = ()):
-        self.terms = {key: c for key, c in dict(terms).items() if c}
+        items = terms.items() if isinstance(terms, dict) else dict(terms).items()
+        self.terms = {key: c for key, c in items if c}
 
     def coefficient(self, key: Partition | tuple[Partition, Partition]) -> int:
         return self.terms.get(key, 0)
@@ -72,25 +71,39 @@ def _skew_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
     when inner is not in outer: the LR tableaux of outer/inner, enumerated
     once in reverse reading order (rows weak, columns strict, each entry
     keeping the word read so far a lattice word, so at most one above the
-    largest letter used: no content bound is needed) and tallied by content.
+    largest letter used: no content bound is needed) and tallied by content,
+    each content listed where its first tableau was found.
+
+    The cells are numbered by arithmetic, with no table of cells: row i takes
+    the next outer_i - inner_i positions from start_i, right to left, so
+    column j of row i sits at end_i - j, end_i = start_i + outer_i - 1. The
+    cell right of a position is the one before it, except in a row's last
+    column; the cell above (i, j) is at end_{i-1} - j when i > 0 and
+    j >= inner_{i-1}.
     """
     if not outer.contains(inner):
         return {}
-    top = len(outer)
-    cells = [(i, j) for i, (row, skip) in enumerate(zip_longest(outer, inner, fillvalue=0))
-             for j in range(row - 1, skip - 1, -1)]
-    n, where = len(cells), {cell: pos for pos, cell in enumerate(cells)}
-    # a cell's filled neighbours by position; a missing one points past the
-    # cells, at the bound top on the right or at 0 above
-    right = [where.get((i, j + 1), n) for i, j in cells]
-    above = [where.get((i - 1, j), n + 1) for i, j in cells]
+    top, n = len(outer), sum(outer) - sum(inner)
+    # each cell's filled neighbours by position; a missing one points past
+    # the cells, at the bound top on the right or at 0 above
+    right, above = list(range(-1, n - 1)), [n + 1] * n
+    start, up_end, up_skip = 0, 0, outer[0]  # end_{i-1} and inner_{i-1}; no cell above row 0
+    for row, skip in zip(outer, inner + (0,) * (top - len(inner))):
+        if row > skip:
+            right[start] = n
+            mid = skip if skip > up_skip else up_skip  # the columns from mid on have a cell above
+            if row > mid:
+                above[start:start + row - mid] = range(up_end - row + 1, up_end - mid + 1)
+        up_end, up_skip = start + row - 1, skip
+        start += row - skip
     fill = [0] * n + [top, 0]  # the entry last tried at each cell, then the two bounds
     counts = [n + 1] + [0] * (top + 1)  # letter counts between two sentinels
-    tally: Counter[tuple[int, ...]] = Counter()
+    tally: dict[tuple[int, ...], int] = {}
     pos = 0
     while pos >= 0:
         if pos == n:  # a whole tableau
-            tally[tuple(counts[1:counts.index(0, 1)])] += 1
+            content = tuple(counts[1:counts.index(0, 1)])
+            tally[content] = tally.get(content, 0) + 1
         else:
             e, hi = fill[pos] + 1, fill[right[pos]]
             while e <= hi and counts[e] >= counts[e - 1]:
