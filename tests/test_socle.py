@@ -156,8 +156,27 @@ def tensor_length_by_binomials(m, n):
 
 
 def test_tensor_length_matches_the_unstepped_closed_form():
-    for m, n in [(200, 0), (0, 200), (60, 60), (37, 5), (1, 300)]:
+    grid = [(m, n) for m in range(40) for n in range(40)]
+    for m, n in grid + [(200, 0), (0, 200), (60, 60), (37, 5), (1, 300)]:
         assert tensor_length(m, n) == tensor_length_by_binomials(m, n), (m, n)
+
+
+def test_tensor_length_follows_the_recurrences_of_its_generating_function():
+    # d/dx and d/dy of exp(2x + x^2 + y + y^2/2 + xy), read coefficientwise
+    for m, n in [(0, 0), (1, 0), (0, 1), (5, 7), (40, 3), (3, 40), (150, 150),
+                 (300, 1), (1, 300), (299, 299)]:
+        left = tensor_length(m - 1, n) if m else 0
+        below = tensor_length(m, n - 1) if n else 0
+        here = tensor_length(m, n)
+        assert tensor_length(m + 1, n) == 2 * here + 2 * m * left + n * below, (m, n)
+        assert tensor_length(m, n + 1) == here + n * below + m * left, (m, n)
+
+
+def test_tensor_length_is_at_most_21_factorial_of_the_total_degree():
+    # the work bound of `mackey length` rests on T(m, n) <= T(m + n, 0) <= e^3 (m + n)!
+    for m in range(40):
+        for n in range(40):
+            assert tensor_length(m, n) <= tensor_length(m + n, 0) <= 21 * factorial(m + n), (m, n)
 
 
 def decompose_by_nested_loops(p, q):

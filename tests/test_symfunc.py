@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from mackey import symfunc
-from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to
+from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to, syt_count
 from mackey.symfunc import (
     SchurExpr,
     coproduct,
@@ -152,6 +152,25 @@ def test_coproduct_matches_the_full_probe():
         reference = _full_probe_coproduct(lam)
         assert coproduct(lam) == reference, lam
         assert list(coproduct(lam)) == list(reference), lam
+
+
+def test_each_coproduct_layer_splits_the_standard_tableaux():
+    # sum over |alpha| = k of c^lam_{alpha beta} f^alpha f^beta = f^lam, for each k
+    for size in (13, 14):
+        for lam in partitions_of(size):
+            layers = [0] * (size + 1)
+            for (alpha, beta), c in coproduct(lam):
+                layers[alpha.size] += c * syt_count(alpha) * syt_count(beta)
+            assert layers == [syt_count(lam)] * (size + 1), lam
+
+
+def test_coproduct_commutes_with_conjugation():
+    # the involution omega: c^lam'_{alpha' beta'} = c^lam_{alpha beta}
+    for size in (13, 14):
+        for lam in partitions_of(size):
+            conjugated = SchurExpr({(alpha.conjugate(), beta.conjugate()): c
+                                    for (alpha, beta), c in coproduct(lam)})
+            assert coproduct(lam.conjugate()) == conjugated, lam
 
 
 def test_no_zero_coefficient_is_read(monkeypatch):
