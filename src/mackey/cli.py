@@ -3,7 +3,8 @@ coproducts, finite-rank dimensions, and the verification suites.
 
 Exit codes: 0 success, 1 verification failure (or a reader that closed the
 pipe before the output ended), 2 usage error, an input too deep for the
-recursion limit or an integer answer over MAX_DIGITS digits, 130
+recursion limit, an integer answer over MAX_DIGITS digits or a `length`
+over its work bound MAX_LENGTH_WORK, refused before it is computed, 130
 interrupted (Ctrl-C, with one line on stderr and no traceback). JSON goes to
 stdout, diagnostics to stderr. The SOCLE_BUDGET environment variable
 overrides the default brute-force size budget.
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 from decimal import Decimal
+from math import isqrt
 
 from . import verify
 from .brute import DEFAULT_BUDGET, BudgetExceededError
@@ -26,6 +28,7 @@ from .symfunc import coproduct, lr_coefficient
 USAGE_ERROR = 2
 INTERRUPTED = 130
 MAX_DIGITS = 100_000
+MAX_LENGTH_WORK = 4 * 10**10  # bit steps of `mackey length`: about 1 s at most on one Xeon core
 
 
 def canonical_json(data) -> str:
@@ -111,9 +114,23 @@ def cmd_simple_length(args) -> int:
     return 0
 
 
+def _check_length_work(m: int, n: int) -> None:
+    """Refuse a length whose sum would take more than MAX_LENGTH_WORK steps:
+    min(m, n) + 1 products of B-bit numbers, each about B^1.5 steps, and
+    m + n recurrence steps linear in B. B bounds the answer's bits, since
+    T(m, n) <= T(m + n, 0) <= e^3 (m + n)! and log2 (m + n)! < N bit_length(N)."""
+    total = m + n
+    bits = total * total.bit_length() + 5
+    work = (min(m, n) + 1) * bits * isqrt(bits) + total * bits
+    if work > MAX_LENGTH_WORK:
+        raise ValueError(f"the length at m={m}, n={n} takes about {work:.1e} steps, "
+                         f"more than the {MAX_LENGTH_WORK:.0e} this command allows")
+
+
 def cmd_length(args) -> int:
     if min(args.m, args.n) >= 0:  # the length is >= 2^m I(n) >= 2^(m + n//2)
         _check_digits(args.m + args.n // 2)
+        _check_length_work(args.m, args.n)
     _print_int(tensor_length(args.m, args.n))
     return 0
 

@@ -148,28 +148,34 @@ def tensor_length(m: int, n: int) -> int:
     (0, q) gives the involution numbers 1, 1, 2, 4, 10, ... since V^{(x)q}
     is the sum of the simple S_gamma(V), each f_gamma times.
 
-    Sum over how many starred slots stay in V_*: each binary word with m1
-    slots outside contributes the Schur pieces of (V*/V_*)^{(x)m1} tensored
-    with every simple constituent of the remaining mixed tensor power; all
-    such products are simple, so they count one each. With the involution
-    numbers I(k), the sum of f_beta over the partitions beta of k, this is
+    The lengths T(m, n) have the exponential generating function
 
-        sum_m1 C(m, m1) I(m1) sum_r C(m - m1, r) C(n, r) r! I(m - m1 - r) I(n - r),
+        exp(2x + x^2) exp(y + y^2/2) exp(xy).
 
-    the inner sum being the total multiplicity of decompose_mixed_tensor.
+    exp(xy) pairs r starred slots with r plain ones; exp(y + y^2/2) gives the
+    involution numbers I(k) = I(k-1) + (k-1) I(k-2), the sum of f_beta over
+    the partitions beta of k; exp(2x + x^2), the square of that, gives
+    A(k) = 2 A(k-1) + 2 (k-1) A(k-2) = 1, 2, 6, 20, 76, ... for the unpaired
+    starred slots, which split between V*/V_* and V_*. So, with s = min(m, n),
+
+        T(m, n) = sum_{r <= s} C(m, r) C(n, r) r! A(m - r) I(n - r),
+
+    where C(m, r) C(n, r) r! counts the pairings of depth r, as in
+    decompose_mixed_tensor. The sum walks r down from s, stepping A and I
+    up by one each time, so it keeps two values of each.
     """
     if m < 0 or n < 0:
         raise ValueError("tensor degrees must be nonnegative")
-    involutions = [1, 1]
-    for k in range(2, max(m, n) + 1):
-        involutions.append(involutions[-1] + (k - 1) * involutions[-2])
-    total, outer = 0, 1  # outer = C(m, m1), stepped along m1
-    for m1 in range(m + 1):
-        m2 = m - m1
-        mixed_pieces, pairings = 0, 1  # pairings = C(m2, r) C(n, r) r!, stepped along r
-        for r in range(min(m2, n) + 1):
-            mixed_pieces += pairings * involutions[m2 - r] * involutions[n - r]
-            pairings = pairings * (m2 - r) * (n - r) // (r + 1)
-        total += outer * involutions[m1] * mixed_pieces
-        outer = outer * m2 // (m1 + 1)
+    s = min(m, n)
+    a, a_prev, i, i_prev = 1, 0, 1, 0  # A(0), A(-1), I(0), I(-1)
+    for k in range(m - s):
+        a, a_prev = 2 * a + 2 * k * a_prev, a
+    for k in range(n - s):
+        i, i_prev = i + k * i_prev, i
+    total, pairings = 0, comb(m, s) * comb(n, s) * factorial(s)  # at r = s
+    for r in range(s, -1, -1):
+        total += pairings * a * i
+        a, a_prev = 2 * a + 2 * (m - r) * a_prev, a
+        i, i_prev = i + (n - r) * i_prev, i
+        pairings = pairings * r // ((m - r + 1) * (n - r + 1))
     return total

@@ -151,6 +151,35 @@ def test_too_long_a_length_is_refused_before_it_is_computed(capsys):
                                     "more than the 100000 this command prints"]
 
 
+def test_a_length_over_the_work_bound_is_refused_before_it_is_computed(capsys):
+    # both pass the digit check, and the sum would take seconds
+    for m, n, steps in [(10000, 10000, "1.6e+12"), (30000, 2000, "6.8e+11")]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "length", "--m", str(m), "--n", str(n))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: the length at m={m}, n={n} takes about {steps} "
+                                    "steps, more than the 4e+10 this command allows"]
+
+
+def test_a_length_under_the_work_bound_is_answered(capsys):
+    code, out, err = run_cli(capsys, "length", "--m", "2000", "--n", "2000")
+    assert code == 0 and err == ""
+    assert int(Decimal(out)) == tensor_length(2000, 2000)
+
+
+def test_a_long_plain_length_keeps_a_small_peak_memory():
+    # the peak is read in the child, so that it counts that one command only
+    script = ("import resource, sys\n"
+              "from mackey.cli import main\n"
+              "code = main(['length', '--m', '0', '--n', '30000'])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert result.returncode == 0 and len(result.stdout) > 60000
+    assert int(result.stderr) < 100 * 1024  # kilobytes on Linux
+
+
 def test_one_long_row_is_answered(capsys):
     # 1100 cells: the LR enumeration keeps its own stack, so the length of
     # a row is not bounded by the recursion limit

@@ -7,7 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mackey").glob("*.py"))
-INTEGER_MATH = {"comb", "factorial", "gcd", "lcm"}
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm"}
 
 
 def inexact_uses(source: str) -> list[str]:
