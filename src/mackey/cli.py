@@ -117,8 +117,8 @@ def cmd_simple_length(args) -> int:
 def _check_length_work(m: int, n: int) -> None:
     """Refuse a length whose sum would take more than MAX_LENGTH_WORK steps:
     min(m, n) + 1 products of B-bit numbers, each about B^1.5 steps, and
-    m + n recurrence steps linear in B. B bounds the answer's bits, since
-    T(m, n) <= T(m + n, 0) <= e^3 (m + n)! and log2 (m + n)! < N bit_length(N)."""
+    m + n recurrence steps linear in B. With N = m + n, B = N bit_length(N) + 5
+    bounds the answer's bits, since T(m, n) <= T(N, 0) <= e^3 N! < 2^5 N^N."""
     total = m + n
     bits = total * total.bit_length() + 5
     work = (min(m, n) + 1) * bits * isqrt(bits) + total * bits
