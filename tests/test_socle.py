@@ -209,6 +209,13 @@ def test_decompose_at_degree_20_is_pinned():
         "04e4df602ab56d6b9115aa5330b235b8766c528e47fed03df04a93b9be6edcac")
 
 
+def test_decompose_shares_each_multiplicity_across_its_hook_count_class():
+    # a multiplicity depends only on (r, f_beta, f_gamma): at (20, 20) one int
+    # object per depth and pair of distinct hook counts, 190,903 in all
+    out = decompose_mixed_tensor(20, 20)
+    assert len({id(mult) for *_, mult in out}) <= 190_903
+
+
 @pytest.fixture
 def collector_setting():
     """Put the caller's garbage collector setting back after the test."""
