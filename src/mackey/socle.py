@@ -15,9 +15,12 @@ power by simples.
 from __future__ import annotations
 
 import gc
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from math import comb, factorial
+from operator import itemgetter
 
 from .partitions import Partition, partitions_of, syt_count
 from .symfunc import coproduct
@@ -108,10 +111,11 @@ def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, i
     The multiplicity formula is standard Schur-Weyl bookkeeping for mixed
     tensors; the verify suite re-derives it from contraction-kernel ranks at
     finite rank before anything downstream is trusted. Triples come by r,
-    then beta, then gamma, in partitions_of order. Each depth folds the
-    pairings into the gamma side once, pairings * f_gamma, and builds one
-    multiplicity row per f_beta from it, one multiply per entry, shared by
-    conjugate betas.
+    then beta, then gamma, in partitions_of order. A multiplicity depends
+    only on r and the hook counts (f_beta, f_gamma), so each depth computes
+    it once per pair of distinct hook counts and shares that one int among
+    the triples of the pair: one row per distinct f_beta over the distinct
+    f_gamma, spread into gamma order by the gather of _hook_classes.
 
     The cyclic garbage collector is paused while the triples are built and
     the caller's setting restored, also on an exception. The triples hold
@@ -127,17 +131,33 @@ def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, i
         for r in range(min(p, q) + 1):
             pairings = comb(p, r) * comb(q, r) * factorial(r)
             gammas = partitions_of(q - r)
-            scaled = [pairings * syt_count(gamma) for gamma in gammas]
+            f_gammas, spread = _hook_classes(q - r)
             rows = {}
             for beta in partitions_of(p - r):
                 f_beta = syt_count(beta)
                 if f_beta not in rows:
-                    rows[f_beta] = [f_beta * x for x in scaled]
+                    rows[f_beta] = spread([pairings * f_beta * f_gamma for f_gamma in f_gammas])
                 out.extend(zip(repeat(beta), gammas, rows[f_beta]))
     finally:
         if enabled:
             gc.enable()
     return out
+
+
+@cache
+def _hook_classes(n: int) -> tuple[list[int], Callable[[list], tuple]]:
+    """The distinct f_gamma over partitions_of(n), in the order first seen,
+    and a gather that takes a list of one value per distinct f_gamma to a
+    tuple of one value per gamma, in partitions_of(n) order. The gather is
+    an itemgetter, which returns a bare item for one index, so the degrees 0
+    and 1, with one partition each, gather with tuple instead.
+    """
+    counts = [syt_count(gamma) for gamma in partitions_of(n)]
+    classes = list(dict.fromkeys(counts))
+    if len(counts) == 1:
+        return classes, tuple
+    index = {f: i for i, f in enumerate(classes)}
+    return classes, itemgetter(*[index[f] for f in counts])
 
 
 def tensor_length(m: int, n: int) -> int:
