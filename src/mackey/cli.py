@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from decimal import Decimal
+from itertools import chain
 from math import isqrt
 
 from . import verify
@@ -127,10 +128,21 @@ def _check_length_work(m: int, n: int) -> None:
                          f"more than the {MAX_LENGTH_WORK:.0e} this command allows")
 
 
+def _length_bits_at_least(m: int, n: int) -> int:
+    """A lower bound on the bits of tensor_length(m, n), in integers only. The
+    length is at least its r = 0 term A(m) I(n). A(m) is at least its term
+    j = m//2 in sum_j m! 2^(m-2j) / ((m-2j)! j!), so at least m!/ceil(m/2)!,
+    and I(n) is at least the (2k-1)!! perfect matchings of 2k points,
+    k = n//2. Each factor j of the two products counts bit_length(j) - 1."""
+    halves, matchings = range(m - m // 2 + 1, m + 1), range(1, 2 * (n // 2), 2)
+    return 1 + sum(map(int.bit_length, chain(halves, matchings))) - len(halves) - len(matchings)
+
+
 def cmd_length(args) -> int:
-    if min(args.m, args.n) >= 0:  # the length is >= 2^m I(n) >= 2^(m + n//2)
-        _check_digits(args.m + args.n // 2)
+    if min(args.m, args.n) >= 0:
+        _check_digits(args.m + args.n // 2)  # the length is >= 2^(m + n//2), at once for any size
         _check_length_work(args.m, args.n)
+        _check_digits(_length_bits_at_least(args.m, args.n))  # the sums are bounded by the work
     _print_int(tensor_length(args.m, args.n))
     return 0
 

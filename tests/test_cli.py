@@ -162,6 +162,39 @@ def test_a_length_over_the_work_bound_is_refused_before_it_is_computed(capsys):
                                     "steps, more than the 4e+10 this command allows"]
 
 
+def test_a_length_just_past_the_digit_limit_is_refused_before_it_is_computed(capsys):
+    # both pass the work bound; computing either would take about a second
+    for m, n, digits in [(49556, 0, 109477), (0, 49556, 102018)]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "length", "--m", str(m), "--n", str(n))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: the answer has about {digits} digits, "
+                                    "more than the 100000 this command prints"]
+
+
+def test_the_digit_bound_of_a_length_is_at_most_its_bits():
+    # T(m, n) for m, n < 200 from the recurrences of its generating function,
+    # T(m+1, n) = 2 T + 2m T(m-1, n) + n T(m, n-1), T(0, n+1) = T + n T(0, n-1)
+    size = 200
+    table = [[0] * size for _ in range(size)]
+    for n in range(size):
+        table[0][n] = 1 if n < 2 else table[0][n - 1] + (n - 1) * table[0][n - 2]
+    for m in range(size - 1):
+        for n in range(size):
+            table[m + 1][n] = (2 * table[m][n] + (2 * m * table[m - 1][n] if m else 0)
+                               + (n * table[m][n - 1] if n else 0))
+    assert table[60][60] == tensor_length(60, 60)
+    for m in range(size):
+        for n in range(size):
+            assert cli._length_bits_at_least(m, n) <= table[m][n].bit_length(), (m, n)
+    # along the work bound: the two inputs refused above really are too long,
+    # and (44000, 0), with 99354 digits, passes
+    for m, n in [(49556, 0), (0, 49556)]:
+        assert cli._length_bits_at_least(m, n) <= tensor_length(m, n).bit_length(), (m, n)
+    cli._check_digits(cli._length_bits_at_least(44000, 0))
+
+
 def test_a_length_under_the_work_bound_is_answered(capsys):
     code, out, err = run_cli(capsys, "length", "--m", "2000", "--n", "2000")
     assert code == 0 and err == ""
@@ -235,12 +268,12 @@ def test_unknown_suite_is_usage_error():
 
 
 @pytest.mark.parametrize("suite, first, last", [
-    ("hopf", 1, 6), ("branching", 7, 7), ("brute", 8, 12)])
+    ("hopf", 1, 8), ("branching", 9, 9), ("brute", 10, 14)])
 def test_each_suite_prints_its_lines_of_verify_all(capsys, suite, first, last):
     code, out, err = run_cli(capsys, "verify", suite)
     assert code == 0 and err == ""
     golden = (GOLDEN / "verify_all.txt").read_text().splitlines(keepends=True)
-    assert len(golden) == 12
+    assert len(golden) == 14
     assert out == "".join(golden[first - 1:last])
 
 
