@@ -137,6 +137,27 @@ def _product_evaluation(budget: int, seed: int) -> Outcomes:
         yield None if lhs == rhs else f"mu={mu}, nu={nu}, point #{index}"
 
 
+def _layer_dimensions(budget: int, seed: int) -> Outcomes:
+    """Restricting S^lam to S_k x S_{n-k}: sum over |alpha| = k of
+    c^lam_{alpha beta} f^alpha f^beta = f^lam, one case per lam and k. Every
+    term is positive, so one raised or lowered coefficient breaks its layer."""
+    for lam in partitions_up_to(10):
+        layers = [0] * (lam.size + 1)
+        for (alpha, beta), c in symfunc.coproduct(lam).terms.items():
+            layers[alpha.size] += c * syt_count(alpha) * syt_count(beta)
+        for k, dim in enumerate(layers):
+            yield None if dim == syt_count(lam) else f"lambda={lam}, k={k}: {dim}"
+
+
+def _conjugation(budget: int, seed: int) -> Outcomes:
+    """The involution omega: Delta(s_lam') is Delta(s_lam) with both sides
+    conjugated, which compares the table lam/mu with lam'/mu', another shape."""
+    for lam in partitions_up_to(10):
+        conjugated = {(alpha.conjugate(), beta.conjugate()): c
+                      for (alpha, beta), c in symfunc.coproduct(lam).terms.items()}
+        yield None if symfunc.coproduct(lam.conjugate()).terms == conjugated else f"lambda={lam}"
+
+
 # ---------------------------------------------------------------------------
 # branching suite
 
@@ -277,6 +298,8 @@ CHECKS = [
     ("hopf", "product/coproduct duality (size <= 7)", _duality),
     ("hopf", "bi-alphabet evaluation (size <= 6)", _bialphabet),
     ("hopf", "product evaluation (degree <= 6)", _product_evaluation),
+    ("hopf", "coproduct layers vs standard tableaux (size <= 10)", _layer_dimensions),
+    ("hopf", "coproduct commutes with conjugation (size <= 10)", _conjugation),
     ("branching", "branching dimension identity", _branching),
     ("brute", "Young projector rank vs Weyl dimension", _young_weyl),
     ("brute", "finite-rank socle filtration vs branching", _socle_shadow),
