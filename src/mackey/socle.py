@@ -145,7 +145,7 @@ def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, i
 
 
 @cache
-def _hook_classes(n: int) -> tuple[list[int], Callable[[list], tuple]]:
+def _hook_classes(n: int) -> tuple[tuple[int, ...], Callable[[list], tuple]]:
     """The distinct f_gamma over partitions_of(n), in the order first seen,
     and a gather that takes a list of one value per distinct f_gamma to a
     tuple of one value per gamma, in partitions_of(n) order. The gather is
@@ -153,7 +153,7 @@ def _hook_classes(n: int) -> tuple[list[int], Callable[[list], tuple]]:
     and 1, with one partition each, gather with tuple instead.
     """
     counts = [syt_count(gamma) for gamma in partitions_of(n)]
-    classes = list(dict.fromkeys(counts))
+    classes = tuple(dict.fromkeys(counts))
     if len(counts) == 1:
         return classes, tuple
     index = {f: i for i, f in enumerate(classes)}
