@@ -140,9 +140,10 @@ def _length_bits_at_least(m: int, n: int) -> int:
 
 def cmd_length(args) -> int:
     if min(args.m, args.n) >= 0:
-        _check_digits(args.m + args.n // 2)  # the length is >= 2^(m + n//2), at once for any size
+        _check_digits(args.m + args.n // 2)  # the length is >= 2^(m + n//2): O(1) at any size
         _check_length_work(args.m, args.n)
-        _check_digits(_length_bits_at_least(args.m, args.n))  # the sums are bounded by the work
+        # a sharper bound, in O(m + n) steps, which the work bound keeps short
+        _check_digits(_length_bits_at_least(args.m, args.n))
     _print_int(tensor_length(args.m, args.n))
     return 0
 

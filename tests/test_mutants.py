@@ -58,9 +58,9 @@ MUTANTS = [
 ]
 
 
-@pytest.mark.parametrize("row, module, name, fault, failing, tier1_test", MUTANTS,
-                         ids=[row[0] for row in MUTANTS])
-def test_a_planted_fault_fails_its_named_checks(row, module, name, fault, failing, tier1_test):
+@pytest.mark.parametrize("module, name, fault, failing, tier1_test",
+                         [pytest.param(*row, id=row_id) for row_id, *row in MUTANTS])
+def test_a_planted_fault_fails_its_named_checks(module, name, fault, failing, tier1_test):
     clear_caches()
     try:
         with pytest.MonkeyPatch.context() as patch:
