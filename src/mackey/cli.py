@@ -6,7 +6,8 @@ pipe before the output ended), 2 usage error, an input too deep for the
 recursion limit, an integer answer over MAX_DIGITS digits or a `length`
 over its work bound MAX_LENGTH_WORK, refused before it is computed, 130
 interrupted (Ctrl-C, with one line on stderr and no traceback). JSON goes to
-stdout, diagnostics to stderr. The SOCLE_BUDGET environment variable
+stdout (`coproduct` through canonical_json, `socle` written by hand in the same
+form), diagnostics to stderr. The SOCLE_BUDGET environment variable
 overrides the default brute-force size budget.
 """
 
@@ -33,9 +34,8 @@ MAX_LENGTH_WORK = 4 * 10**10  # bit steps of `mackey length`: about 1 s at most 
 
 
 def canonical_json(data) -> str:
-    """The byte-stable JSON form used everywhere: compact separators,
-    insertion order preserved.
-    """
+    """The byte-stable JSON form: compact separators, insertion order
+    preserved. `coproduct` prints through it; render_socle_json writes it by hand."""
     return json.dumps(data, separators=(",", ":"))
 
 
@@ -79,14 +79,18 @@ def _print_int(value: int) -> None:
     print(Decimal(value))
 
 
+def _shape_names(report: SocleReport, name) -> dict[Partition, str]:
+    """Each shape of the report (lambda, mu, every alpha and beta) mapped to
+    name(shape): alphas and betas repeat across constituents, so each is named once."""
+    shapes = {shape for layer in report.layers for c in layer for shape in (c.alpha, c.beta)}
+    return {shape: name(shape) for shape in shapes | {report.lam, report.mu}}
+
+
 def render_socle_text(report: SocleReport) -> str:
-    # every constituent carries the report's one mu, and the alphas and betas
-    # repeat across constituents: each shape is formatted once
-    mu = format_partition(report.mu)
-    shapes = {lam for layer in report.layers for c in layer for lam in (c.alpha, c.beta)}
-    names = {lam: format_partition(lam) for lam in shapes}
+    names = _shape_names(report, format_partition)
+    mu = names[report.mu]
     lines = [
-        f"socle filtration of W(lambda={format_partition(report.lam)}, mu={mu}): "
+        f"socle filtration of W(lambda={names[report.lam]}, mu={mu}): "
         f"{len(report.layers)} layers, length {report.length()}"
     ]
     for k, layer in enumerate(report.layers):
@@ -97,14 +101,23 @@ def render_socle_text(report: SocleReport) -> str:
     return "\n".join(lines)
 
 
+def render_socle_json(report: SocleReport) -> str:
+    """canonical_json of {"lambda", "mu", "layers": [[{"alpha", "beta", "mu",
+    "mult"}, ...], ...]}, byte for byte, written straight from the report."""
+    names = _shape_names(report, lambda shape: "[" + ",".join(map(str, shape)) + "]")
+    mu = names[report.mu]  # every constituent carries the report's one mu
+    layers = ",".join(["[" + ",".join([
+        f'{{"alpha":{names[c.alpha]},"beta":{names[c.beta]},"mu":{mu},"mult":{c.multiplicity}}}'
+        for c in layer]) + "]" for layer in report.layers])
+    return f'{{"lambda":{names[report.lam]},"mu":{mu},"layers":[{layers}]}}'
+
+
 def cmd_socle(args) -> int:
     lam = _parse_partition(args.lam, "--lambda")
     mu = _parse_partition(args.mu, "--mu")
     report = socle_layers(lam, mu)
-    if args.format == "json":
-        print(canonical_json(report.to_json()))
-    else:
-        print(render_socle_text(report))
+    render = render_socle_json if args.format == "json" else render_socle_text
+    print(render(report))
     return 0
 
 

@@ -40,14 +40,6 @@ class SimpleConstituent:
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be positive")
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": list(self.alpha),
-            "beta": list(self.beta),
-            "mu": list(self.mu),
-            "mult": self.multiplicity,
-        }
-
 
 @dataclass(frozen=True)
 class SocleReport:
@@ -59,13 +51,6 @@ class SocleReport:
 
     def length(self) -> int:
         return sum(c.multiplicity for layer in self.layers for c in layer)
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "mu": list(self.mu),
-            "layers": [[c.to_json() for c in layer] for layer in self.layers],
-        }
 
 
 def socle_layers(lam: Partition, mu: Partition) -> SocleReport:

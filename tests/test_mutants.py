@@ -14,8 +14,9 @@ import sys
 
 import pytest
 
+import test_socle
 import test_symfunc
-from mackey import symfunc, verify
+from mackey import socle, symfunc, verify
 
 LAYERS = "coproduct layers vs standard tableaux (size <= 10)"
 CONJUGATION = "coproduct commutes with conjugation (size <= 10)"
@@ -55,6 +56,11 @@ MUTANTS = [
     ("lr_raised_at_13", symfunc, "_skew_table",
      lambda: lr_raised_at(13), set(),
      test_symfunc.test_each_coproduct_layer_splits_the_standard_tableaux),
+    # escapes verify, which reads no order of the constituents of a layer:
+    # beta's parts sort before alpha's
+    ("socle_layer_order_swapped", socle, "_by_parts",
+     lambda: lambda term: term[0][1] + term[0][0], set(),
+     test_socle.test_socle_layers_come_in_the_order_of_the_sorted_coproduct),
 ]
 
 

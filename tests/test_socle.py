@@ -7,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 from mackey import socle
+from mackey.cli import main
 from mackey.partitions import (
     EMPTY, Partition, format_partition, partitions_of, partitions_up_to, syt_count)
 from mackey.socle import (
@@ -256,10 +257,9 @@ def test_decompose_restores_the_collector_when_the_build_raises(
     assert len(enabled_during_build) == 20 and not any(enabled_during_build)
 
 
-def test_socle_report_json_round_trip():
-    report = socle_layers(P([2, 1]), P([2]))
-    data = report.to_json()
-    assert json.loads(json.dumps(data)) == data
+def test_socle_report_json_round_trip(capsys):
+    assert main(["socle", "--lambda", "2,1", "--mu", "2", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["lambda"] == [2, 1] and data["mu"] == [2]
     assert data["layers"][1][0] == {"alpha": [1], "beta": [1, 1], "mu": [2], "mult": 1}
 
