@@ -2,8 +2,9 @@
 
 LR coefficients, products and coproducts are all read off one cached skew
 table: the LR tableaux of a skew shape (row-weak, column-strict fillings
-whose reverse reading word is a lattice word), enumerated once and tallied
-by content. So a single set of oracle tests covers the structure constants
+whose reverse reading word is a lattice word), tallied by content and
+enumerated once per skew diagram, however many pairs (outer, inner) draw
+it. So a single set of oracle tests covers the structure constants
 everywhere they appear.
 
 Evaluation of Schur polynomials at exact rational points (Jacobi-Trudi
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import Partition, partitions_of
@@ -68,11 +70,36 @@ _shared = cache(Partition)
 @cache
 def _skew_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
     """{nu: c^outer_{inner nu}}, the Schur expansion of s_{outer/inner}, empty
-    when inner is not in outer: the LR tableaux of outer/inner, enumerated
-    once in reverse reading order (rows weak, columns strict, each entry
-    keeping the word read so far a lattice word, so at most one above the
-    largest letter used: no content bound is needed) and tallied by content,
-    each content listed where its first tableau was found.
+    when inner is not in outer: the _diagram_table of outer/inner with its
+    empty rows dropped and each row shifted left past the empty columns
+    below it. Neither move changes an LR tableau or the order they are found
+    in, so each diagram is enumerated once, and all its (outer, inner) share
+    one read-only dict. Cached on (outer, inner) too, so that the second
+    read of a coefficient through lr_coefficient skips the pass below.
+    """
+    outs, skips = [], []
+    gap = reach = 0  # the empty columns so far, and the columns the rows below reach
+    for row, skip in reversed(list(zip_longest(outer, inner, fillvalue=0))):
+        if skip > row:
+            return {}
+        if row > skip:
+            if skip > reach:
+                gap += skip - reach
+            outs.append(row - gap)
+            skips.append(skip - gap)
+            reach = row
+    return _diagram_table(tuple(outs[::-1]), tuple(skips[::-1]))
+
+
+@cache
+def _diagram_table(outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[Partition, int]:
+    """The skew table of a diagram with no empty row or column, given by its
+    row ends and row starts: the LR tableaux of outer/inner, enumerated once
+    per diagram in reverse reading order (rows weak, columns strict, each
+    entry keeping the word read so far a lattice word, so at most one above
+    the largest letter used: no content bound is needed) and tallied by
+    content, each content listed where its first tableau was found. The
+    cached dict is shared by every _skew_table of the diagram, read-only.
 
     The cells are numbered by arithmetic, with no table of cells: row i takes
     the next outer_i - inner_i positions from start_i, right to left, so
@@ -81,19 +108,18 @@ def _skew_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
     column; the cell above (i, j) is at end_{i-1} - j when i > 0 and
     j >= inner_{i-1}.
     """
-    if not outer.contains(inner):
-        return {}
     top, n = len(outer), sum(outer) - sum(inner)
     # each cell's filled neighbours by position; a missing one points past
     # the cells, at the bound top on the right or at 0 above
     right, above = list(range(-1, n - 1)), [n + 1] * n
-    start, up_end, up_skip = 0, 0, outer[0]  # end_{i-1} and inner_{i-1}; no cell above row 0
-    for row, skip in zip(outer, inner + (0,) * (top - len(inner))):
-        if row > skip:
-            right[start] = n
-            mid = skip if skip > up_skip else up_skip  # the columns from mid on have a cell above
-            if row > mid:
-                above[start:start + row - mid] = range(up_end - row + 1, up_end - mid + 1)
+    # end_{i-1} and inner_{i-1}; with no empty column the diagram is at most
+    # n wide, so no column has a cell above row 0
+    start, up_end, up_skip = 0, 0, n
+    for row, skip in zip(outer, inner):
+        right[start] = n
+        mid = skip if skip > up_skip else up_skip  # the columns from mid on have a cell above
+        if row > mid:
+            above[start:start + row - mid] = range(up_end - row + 1, up_end - mid + 1)
         up_end, up_skip = start + row - 1, skip
         start += row - skip
     fill = [0] * n + [top, 0]  # the entry last tried at each cell, then the two bounds

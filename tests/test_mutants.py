@@ -11,6 +11,7 @@ the README lists it.
 """
 
 import sys
+from itertools import zip_longest
 
 import pytest
 
@@ -20,6 +21,13 @@ from mackey import socle, symfunc, verify
 
 LAYERS = "coproduct layers vs standard tableaux (size <= 10)"
 CONJUGATION = "coproduct commutes with conjugation (size <= 10)"
+# every hopf check but the counit, which reads only the empty tables lam/lam,
+# and the branching identity
+LEFT_JUSTIFIED = {"coassociativity (size <= 8)", "LR symmetry (size <= 8)",
+                  "product/coproduct duality (size <= 7)",
+                  "bi-alphabet evaluation (size <= 6)",
+                  "product evaluation (degree <= 6)", LAYERS, CONJUGATION,
+                  "branching dimension identity"}
 
 
 def clear_caches():
@@ -47,6 +55,20 @@ def lr_raised_at(size):
     return raised
 
 
+def left_justified_rows():
+    """_skew_table with a diagram key that drops each row's column offset:
+    every nonempty row of outer/inner starts in column 0."""
+
+    def table(outer, inner):
+        if not outer.contains(inner):
+            return {}
+        lengths = tuple(row - skip for row, skip in zip_longest(outer, inner, fillvalue=0)
+                        if row > skip)
+        return symfunc._diagram_table(lengths, (0,) * len(lengths))
+
+    return table
+
+
 # (row id, module, name, fault factory, verify checks that must fail, the
 # tier-1 test that catches an escape or None)
 MUTANTS = [
@@ -56,6 +78,8 @@ MUTANTS = [
     ("lr_raised_at_13", symfunc, "_skew_table",
      lambda: lr_raised_at(13), set(),
      test_symfunc.test_each_coproduct_layer_splits_the_standard_tableaux),
+    ("diagram_key_left_justified", symfunc, "_skew_table",
+     left_justified_rows, LEFT_JUSTIFIED, None),
     # escapes verify, which reads no order of the constituents of a layer:
     # beta's parts sort before alpha's
     ("socle_layer_order_swapped", socle, "_by_parts",

@@ -2,7 +2,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 
-from mackey import symfunc
+from hypothesis import given, settings, strategies as st
+
+from mackey import symfunc, verify
 from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to, syt_count
 from mackey.symfunc import (
     SchurExpr,
@@ -265,6 +267,104 @@ def test_skew_tables_match_the_reference_enumerator_in_order():
     for outer, inner in _reference_grid():
         assert list(symfunc._skew_table(outer, inner).items()) == \
             list(_reference_skew_table(outer, inner).items()), (outer, inner)
+
+
+def test_skew_tables_of_one_diagram_are_one_table():
+    table = symfunc._skew_table
+    # a column gap under the top row, and an empty row on top
+    assert table(P([5, 1]), P([3])) is table(P([3, 1]), P([1]))
+    assert table(P([4, 3, 1]), P([4, 1])) is table(P([3, 1]), P([1]))
+    for lam in partitions_up_to(4):
+        assert table(lam, lam) == {EMPTY: 1}, lam
+    # inner longer than outer, or wider in one row
+    assert table(P([1]), P([1, 1])) == {}
+    assert table(P([2]), P([1, 1])) == {}
+    assert table(P([2, 1]), P([3])) == {}
+    assert table(P([3, 1]), P([2, 2])) == {}
+
+
+def test_cold_coproducts_of_13_and_14_enumerate_710_diagrams():
+    # 10845 tables lam/mu, which are 710 diagrams
+    for cached in (symfunc.coproduct, symfunc._skew_table, symfunc._diagram_table):
+        cached.cache_clear()
+    for n in (13, 14):
+        for lam in partitions_of(n):
+            coproduct(lam)
+    assert symfunc._skew_table.cache_info().misses == 10845
+    assert symfunc._diagram_table.cache_info().misses == 710
+
+
+@st.composite
+def padded_skew_shapes(draw, max_cells=16):
+    """((outer, inner), (padded outer, padded inner)): a skew shape of at
+    most max_cells cells, and the same diagram with empty rows and empty
+    columns put in. The shape is a list of rows (end, start), top to bottom."""
+    rows, budget = [], max_cells
+    while budget and draw(st.integers(0, 5)):
+        end = draw(st.integers(1, min(rows[-1][0], rows[-1][1] + budget) if rows else 8))
+        start = draw(st.integers(max(0, end - budget), min(rows[-1][1], end) if rows else end))
+        rows.append((end, start))
+        budget -= end - start
+    base = rows[:]
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            # an empty column at c, which no row straddles: the rows right of
+            # it move one column right
+            c = draw(st.sampled_from([c for c in range(rows[0][0] + 1 if rows else 1)
+                                      if all(not start < c < end for end, start in rows)]))
+            rows = [(end + 1, start + 1) if start >= c else (end, start)
+                    for end, start in rows]
+        else:
+            # an empty row at r, between the columns its neighbours allow
+            spots = [(0, rows[0][0] if rows else 1, (rows[0][0] if rows else 1) + 2)]
+            spots += [(r, rows[r][0], rows[r - 1][1]) for r in range(1, len(rows))
+                      if rows[r - 1][1] >= rows[r][0]]
+            if rows and rows[-1][1]:
+                spots.append((len(rows), 1, rows[-1][1]))
+            r, low, high = draw(st.sampled_from(spots))
+            c = draw(st.integers(low, high))
+            rows.insert(r, (c, c))
+    return tuple((P([end for end, _ in shape]), P([start for _, start in shape]))
+                 for shape in (base, rows))
+
+
+@settings(deadline=None)
+@given(padded_skew_shapes())
+def test_empty_rows_and_columns_keep_the_table(shapes):
+    (outer, inner), (padded_outer, padded_inner) = shapes
+    table = symfunc._skew_table(padded_outer, padded_inner)
+    assert table is symfunc._skew_table(outer, inner)
+    assert list(table.items()) == \
+        list(_reference_skew_table(padded_outer, padded_inner).items())
+
+
+def test_no_caller_writes_into_a_shared_table(monkeypatch):
+    # each table the callers were handed still holds what its diagram
+    # enumerates afresh, in the same order
+    tables, original = {}, symfunc._diagram_table
+
+    def recording(outer, inner):
+        table = original(outer, inner)
+        assert tables.setdefault((outer, inner), table) is table
+        return table
+
+    for cached in (symfunc.coproduct, symfunc._skew_table, symfunc._diagram_table):
+        cached.cache_clear()
+    monkeypatch.setattr(symfunc, "_diagram_table", recording)
+    for lam in partitions_up_to(10):
+        coproduct(lam)
+    for total in range(9):
+        for k in range(total + 1):
+            for mu in partitions_of(k):
+                for nu in partitions_of(total - k):
+                    schur_product(mu, nu)
+    assert all(r.passed for r in verify.run_suite("hopf"))
+    monkeypatch.undo()
+    assert tables
+    for (outer, inner), table in tables.items():
+        assert original(outer, inner) is table
+        assert list(table.items()) == \
+            list(original.__wrapped__(outer, inner).items()), (outer, inner)
 
 
 def test_skew_tables_share_one_partition_per_content():
