@@ -39,7 +39,6 @@ from .linalg import (
 from .partitions import Partition
 
 GeneratorLabel = tuple[int, int]
-WordLabel = tuple[tuple[int, bool], ...]
 
 DEFAULT_BUDGET = 20000
 
@@ -54,14 +53,16 @@ class ExplicitModule:
     Matrices are built on first use and cached, since most computations only
     touch the parabolic generators; so are the weight blocks and the
     traceless subspace and socle steps built on them. Modules produced by
-    restriction reuse this class with a different builder. The weights hold
-    the weight of each basis vector under (1, 1)..(N, N), or are None for an
-    ungraded module, which is one block.
+    restriction reuse this class with a different builder. The labels of a
+    word-basis module are its basis words, tuples of indices 1..N whose
+    first star_slots slots are starred; other modules have None. The weights
+    hold the weight of each basis vector under (1, 1)..(N, N), or are None
+    for an ungraded module, which is one block.
     """
 
     def __init__(self, dimension: int, rank_n: int,
                  builder: Callable[[GeneratorLabel], SparseMatrix],
-                 labels: tuple[WordLabel, ...] | None = None,
+                 labels: Sequence[tuple[int, ...]] | None = None,
                  star_slots: int = 0, plain_slots: int = 0,
                  weights: Sequence[tuple[int, ...]] | None = None):
         self.dimension = dimension
@@ -118,8 +119,6 @@ def build_tensor_module(n_rank: int, m: int, n: int,
     words = _tensor_words(n_rank, m, n, budget)
     dim = len(words)
     index = {w: pos for pos, w in enumerate(words)}
-    labels: tuple[WordLabel, ...] = tuple(
-        tuple((idx, pos < m) for pos, idx in enumerate(word)) for word in words)
 
     def build(label: GeneratorLabel) -> SparseMatrix:
         i, j = label
@@ -138,7 +137,7 @@ def build_tensor_module(n_rank: int, m: int, n: int,
                         entries.append((index[tgt], col, 1))
         return SparseMatrix.from_entries(dim, entries)
 
-    return ExplicitModule(dim, n_rank, build, labels, m, n,
+    return ExplicitModule(dim, n_rank, build, words, m, n,
                           [_word_weight(word, m, n_rank) for word in words])
 
 
@@ -181,10 +180,10 @@ def restrict_module(module: ExplicitModule, subspace: Subspace) -> ExplicitModul
 # ---------------------------------------------------------------------------
 # traceless tensors
 
-def _require_words(module: ExplicitModule) -> list[tuple[int, ...]]:
+def _require_words(module: ExplicitModule) -> Sequence[tuple[int, ...]]:
     if module.labels is None:
         raise ValueError("operation needs a word-basis module from build_tensor_module")
-    return [tuple(idx for idx, _ in label) for label in module.labels]
+    return module.labels
 
 
 def _contraction_rows(words: Sequence[tuple[int, ...]], m: int, n: int,
@@ -265,7 +264,8 @@ def _symmetrizer_terms(shape: Partition) -> list[tuple[tuple[int, ...], int]]:
     # the row-reading tableau: slots 0..|shape|-1 filled row by row
     rows = [range(start, start + length)
             for start, length in zip(accumulate(shape, initial=0), shape)]
-    columns = [[row[j] for row in rows if j < len(row)] for j in range(shape[0])]
+    columns = [[row[j] for row in rows if j < len(row)]
+               for j in range(shape[0] if shape else 0)]
     row_perms = _group_perms(rows)
     terms = []
     for q in _group_perms(columns):

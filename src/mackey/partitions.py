@@ -21,13 +21,8 @@ class Partition(tuple):
     A partition is the tuple of its parts: it equals and hashes as that tuple,
     and inherits its length, iteration and immutability. Trailing zeros are
     stripped on construction so each partition has a unique representative.
-    Only these differ from the tuple:
-    - ``lam[i]`` is the row length at integer index i, 0 past the last row:
-      the skew tables and the Young symmetrizer read rows that way. A slice
-      is a TypeError; slice ``parts`` instead.
-    - ``<``, ``<=``, ``>`` and ``>=`` compare ``sort_key()``, degree first,
-      not the tuples lexicographically.
-    - ``parts`` is the plain tuple of the parts.
+    It indexes, slices and compares as that tuple; ``parts`` is the plain
+    tuple itself.
     """
 
     __slots__ = ()
@@ -54,27 +49,6 @@ class Partition(tuple):
     @property
     def size(self) -> int:
         return sum(self)
-
-    def __getitem__(self, i: int) -> int:
-        """Row length at index i, with zero-padding past the last row."""
-        return tuple.__getitem__(self, i) if 0 <= i < len(self) else 0
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Partition") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "Partition") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "Partition") -> bool:
-        return self.sort_key() >= other.sort_key()
-
-    def sort_key(self) -> tuple:
-        """Total order used for deterministic output: degree, then lex. The
-        parts go in as a plain tuple, which compares without recursing here."""
-        return (sum(self), tuple(self))
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
@@ -135,9 +109,10 @@ def dim_schur(lam: Partition, n: int) -> int:
     for i, row in enumerate(lam):
         for j in range(row):
             num *= n + j - i
-    den = _hook_product(lam)
-    assert num % den == 0
-    return num // den
+    quotient, rest = divmod(num, _hook_product(lam))
+    if rest:
+        raise ArithmeticError("hook content formula produced a non-integer")
+    return quotient
 
 
 def dim_mixed(beta: Partition, gamma: Partition, n: int) -> int:
@@ -146,7 +121,7 @@ def dim_mixed(beta: Partition, gamma: Partition, n: int) -> int:
     by the Weyl dimension formula.
 
     Exact integer arithmetic over the positive roots of gl(n); the final
-    division is asserted exact, which catches weight-construction mistakes
+    division is checked exact, which catches weight-construction mistakes
     immediately. Symmetric under swapping beta and gamma (the dual module).
     A pair of zero rows of the highest weight contributes 1, and a row of
     weight h against the zeros at distances lo..hi contributes
@@ -175,8 +150,10 @@ def dim_mixed(beta: Partition, gamma: Partition, n: int) -> int:
         h = abs(a)
         num *= comb(h + hi, h)
         den *= comb(h + lo - 1, h)
-    assert num % den == 0, "Weyl dimension formula produced a non-integer"
-    return num // den
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError("Weyl dimension formula produced a non-integer")
+    return quotient
 
 
 @cache

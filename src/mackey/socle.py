@@ -60,7 +60,8 @@ def socle_layers(lam: Partition, mu: Partition) -> SocleReport:
 
     Within a layer the constituents come by alpha, then by beta, by parts:
     each |alpha| gets one bucket of coproduct terms, sorted once on one plain
-    tuple per term, which within a layer is the order of Partition.sort_key.
+    tuple per term, which within a layer is degree first, then lexicographic
+    on the parts.
     """
     buckets: list[list] = [[] for _ in range(lam.size + 1)]
     for term in coproduct(lam).terms.items():  # ((alpha, beta), c)

@@ -53,7 +53,8 @@ class SchurExpr:
 
 
 def _term_order(term: tuple) -> tuple:
-    """Partition.sort_key of the key or of each side of a pair, in plain tuples."""
+    """Degree first, then lexicographic on the parts, of the key or of each
+    side of a pair, in plain tuples."""
     key = term[0]
     if isinstance(key, Partition):
         return (sum(key), tuple(key))
@@ -156,7 +157,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 def schur_product(mu: Partition, nu: Partition) -> SchurExpr:
     """s_mu * s_nu in the Schur basis: the skew Schur function of mu and nu
     placed corner to corner, mu to the upper right of nu."""
-    width = nu[0]
+    width = nu[0] if nu else 0
     outer = Partition([part + width for part in mu] + list(nu))
     inner = Partition([width] * len(mu))
     # each listed entry is read through lr_coefficient, as in coproduct:

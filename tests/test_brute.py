@@ -40,10 +40,6 @@ P = Partition
 F = Fraction
 
 
-def word_indices(module):
-    return [tuple(idx for idx, _ in label) for label in module.labels]
-
-
 def bracket(x, y):
     """[x, y] expanded in generator labels by the rule of the brute module
     docstring: [x_ij, x_kl] = d_il x_kj - d_jk x_il."""
@@ -87,7 +83,7 @@ def test_invariant_pairing_vector_is_killed():
     module = build_tensor_module(3, 1, 1)
     assert module.dimension == 9
     invariant = [F(0)] * 9
-    for pos, (a, b) in enumerate(word_indices(module)):
+    for pos, (a, b) in enumerate(module.labels):
         if a == b:
             invariant[pos] = F(1)
     for i in range(1, 4):
@@ -114,7 +110,7 @@ def test_traceless_dimension_checks_its_input_like_the_builder():
 
 def test_basis_labels_mark_starred_slots():
     module = build_tensor_module(2, 1, 1)
-    assert module.labels[0] == ((1, True), (1, False))
+    assert module.labels[0] == (1, 1) and module.star_slots == 1
 
 
 def test_action_respects_the_bracket_on_every_generator_pair():
@@ -757,7 +753,7 @@ def test_part_wise_containment_agrees_with_the_dense_path():
 
 def dense_grade_filtration(module, para):
     grades = [sum(1 for idx in word[:module.star_slots] if idx > para.b)
-              for word in word_indices(module)]
+              for word in module.labels]
     dim = module.dimension
     return Filtration([
         Subspace(dim, [unit_vec(dim, pos) for pos, g in enumerate(grades) if g <= k])

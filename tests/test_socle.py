@@ -75,7 +75,7 @@ def layers_by_sorted_coproduct(lam, mu):
     of beta, split by |alpha|: the reference order of socle_layers."""
     layers = [[] for _ in range(lam.size + 1)]
     terms = sorted(coproduct(lam).terms.items(),
-                   key=lambda term: (term[0][0].sort_key(), term[0][1].sort_key()))
+                   key=lambda term: [(sum(a), tuple(a)) for a in term[0]])
     for (alpha, beta), c in terms:
         layers[alpha.size].append((alpha, beta, mu, c))
     return layers

@@ -87,7 +87,7 @@ def _full_probe_product(mu, nu):
     """s_mu * s_nu by definition: every lam of size |mu| + |nu| probed
     through lr_coefficient on the skew shape of mu and nu placed corner to
     corner."""
-    width = nu[0]
+    width = nu[0] if nu else 0
     outer = P([part + width for part in mu] + list(nu))
     inner = P([width] * len(mu))
     out = {}
@@ -252,7 +252,7 @@ def _reference_grid():
         for k in range(total + 1):
             for mu in partitions_of(k):
                 for nu in partitions_of(total - k):
-                    width = nu[0]
+                    width = nu[0] if nu else 0
                     yield (P([part + width for part in mu] + list(nu)),
                            P([width] * len(mu)))
     for n in (13, 14):
