@@ -1,7 +1,9 @@
 """Exact finite-rank oracle: explicit tensor modules over gl(N) with
 matrix-unit actions, traceless subspaces, Young symmetrizers, parabolic
 socle filtrations, constituent counts, and essentiality checks, all run
-block by block on the weight grading a module carries.
+block by block on the weight grading a module carries; the socle steps of
+a word module run once per orbit of blocks under the Levi's letter
+permutations.
 
 Everything is over exact rationals; the point of this module is to be an
 independent numerical referee for the tableau combinatorics, so no result
@@ -186,6 +188,15 @@ def _require_words(module: ExplicitModule) -> Sequence[tuple[int, ...]]:
     return module.labels
 
 
+def _word_index(module: ExplicitModule) -> dict[tuple[int, ...], int]:
+    """The position of each basis word, made once per module."""
+    index = module._derived.get("index")
+    if index is None:
+        index = module._derived["index"] = {
+            w: pos for pos, w in enumerate(_require_words(module))}
+    return index
+
+
 def _contraction_rows(words: Sequence[tuple[int, ...]], m: int, n: int,
                       members: Sequence[int]) -> list[list[int]]:
     """The contraction constraints restricted to one weight block of word
@@ -284,12 +295,9 @@ def _slot_table(module: ExplicitModule, blocks: _WeightBlocks,
     key = ("slots", perm)
     table = module._derived.get(key)
     if table is None:
-        words = _require_words(module)
-        index = module._derived.get("index")
-        if index is None:
-            index = module._derived["index"] = {w: pos for pos, w in enumerate(words)}
+        index = _word_index(module)
         table = module._derived[key] = []
-        for word in words:
+        for word in module.labels:
             moved = [0] * len(word)
             for s, target in enumerate(perm):
                 moved[target] = word[s]
@@ -511,43 +519,97 @@ def _invariance_rows(rows: Sequence[dict[int, int]], base: Subspace) -> list[dic
     return functionals
 
 
+def _block_kernel(module: ExplicitModule, blocks: _WeightBlocks,
+                  labels: Sequence[GeneratorLabel], b: int, low: Sequence[Subspace],
+                  upper: Subspace | None = None) -> Subspace:
+    """The part in block b of {v in high : A v in low for every generator A
+    of the labels}, upper the part of high in b, or None when high is the
+    whole module. Low must lie in high and be invariant under the labels,
+    so a block where low fills high is done.
+    """
+    members = blocks.positions[b]
+    size = len(members)
+    if low[b].dim == (size if upper is None else upper.dim):
+        return low[b]
+    rows = [] if upper is None else _invariance_rows([{k: 1} for k in range(size)], upper)
+    for label in labels:
+        u = blocks.targets(module, label)[b]
+        if u is not None and low[u].dim < len(blocks.positions[u]):
+            dense = module.action(label).to_dense_rows(blocks.positions[u], members)
+            rows.extend(_invariance_rows(integer_rows(dense), low[u]))
+    return _kernel_space(rows, size)
+
+
 def _kernel(module: ExplicitModule, blocks: _WeightBlocks,
             labels: Sequence[GeneratorLabel], low: Sequence[Subspace],
             high: Sequence[Subspace] | None = None) -> list[Subspace]:
     """Block parts of {v in high : A v in low for every generator A of the
     labels}, high the whole module when None: the lift of the joint kernel
-    on high/low. Low must lie in high and be invariant under the labels, so
-    a block where low fills high is done.
+    on high/low, found block by block.
     """
-    actions = [(module.action(label), blocks.targets(module, label)) for label in labels]
-    parts = []
-    for b, members in enumerate(blocks.positions):
-        size = len(members)
-        upper = None if high is None else high[b]
-        if low[b].dim == (size if upper is None else upper.dim):
-            parts.append(low[b])
-            continue
-        rows = [] if upper is None else _invariance_rows(
-            [{k: 1} for k in range(size)], upper)
-        for mat, targets in actions:
-            u = targets[b]
-            if u is not None and low[u].dim < len(blocks.positions[u]):
-                dense = mat.to_dense_rows(blocks.positions[u], members)
-                rows.extend(_invariance_rows(integer_rows(dense), low[u]))
-        parts.append(_kernel_space(rows, size))
-    return parts
+    return [_block_kernel(module, blocks, labels, b, low, None if high is None else high[b])
+            for b in range(len(blocks.positions))]
+
+
+def _levi_orbits(module: ExplicitModule, para: ParabolicData, blocks: _WeightBlocks
+                 ) -> list[tuple[int, list[int] | None]]:
+    """For each weight block, the dominant block d of its orbit under the
+    letter permutations sigma in S_b x S_(N-b), and the table that takes
+    each local position of d to the local position of the sigma-moved word;
+    the table is None on a dominant block, whose weight descends within
+    1..b and within b+1..N. A module without a word basis has trivial
+    orbits: every block is dominant.
+    """
+    if module.labels is None:
+        return [(b, None) for b in range(len(blocks.positions))]
+    index, local = _word_index(module), blocks.local
+    orbits = []
+    for b, weight in enumerate(blocks.weights):
+        # sigma sends the k-th index of each Levi block to the index holding
+        # the k-th largest weight there; sigma[0] pads the letters 1..N
+        sigma = [0]
+        for levi in (range(1, para.b + 1), range(para.b + 1, para.n_rank + 1)):
+            sigma += sorted(levi, key=lambda i: -weight[i - 1])
+        d = blocks._number[tuple(weight[i - 1] for i in sigma[1:])]
+        orbits.append((b, None) if d == b else (d, [
+            local[index[tuple(sigma[i] for i in module.labels[pos])]]
+            for pos in blocks.positions[d]]))
+    return orbits
+
+
+def _transport(part: Subspace, table: Sequence[int]) -> Subspace:
+    """The image of a block part under a letter permutation, given by the
+    table of moved local positions."""
+    return Subspace(len(table), [{table[k]: x for k, x in row.items()}
+                                 for row in part.echelon.values()])
 
 
 def _socle_steps(module: ExplicitModule, para: ParabolicData, blocks: _WeightBlocks
                  ) -> list[list[Subspace]]:
     """Block parts of the socle filtration, after a zero step, found once
-    per module and nilradical."""
+    per module and nilradical.
+
+    A letter permutation sigma in S_b x S_(N-b) moves word basis vectors by
+    P_sigma, with P_sigma X_ij = X_(sigma i, sigma j) P_sigma on starred and
+    plain slots alike, and sigma maps the nilradical labels onto
+    themselves. So each step is P_sigma-stable when the one below is: the
+    nilradical kernel runs on the dominant blocks of _levi_orbits, and every
+    other block takes the part of its dominant block, moved by sigma.
+    """
     key = ("socle", tuple(para.nilradical_labels))
     steps = module._derived.get(key)
     if steps is None:
+        orbits = _levi_orbits(module, para, blocks)
         steps, dims = [blocks.zero()], [0]
         while dims[-1] < module.dimension:
-            steps.append(_kernel(module, blocks, para.nilradical_labels, steps[-1]))
+            low = steps[-1]
+            found = {b: _block_kernel(module, blocks, para.nilradical_labels, b, low)
+                     for b, (_, table) in enumerate(orbits) if table is None}
+            # a dominant part that did not grow leaves its whole orbit as it was
+            steps.append([found[b] if table is None
+                          else low[b] if found[d].dim == low[d].dim
+                          else _transport(found[d], table)
+                          for b, (d, table) in enumerate(orbits)])
             dims.append(sum(part.dim for part in steps[-1]))
             if dims[-1] <= dims[-2]:
                 raise ValueError("module is not closed under the parabolic action")

@@ -30,6 +30,7 @@ from mackey.linalg import (
     vec,
 )
 from mackey.partitions import EMPTY, Partition, partitions_up_to
+from mackey.socle import tensor_length
 from mackey.verify import SOCLE_SHADOW_GRID, socle_shadow_layer_dims
 
 from gl_weights import gl_highest_weight_count
@@ -431,13 +432,13 @@ def test_constituent_count_reuses_the_socle_steps(monkeypatch):
     module = build_tensor_module(6, 2, 0)
     socle_filtration_parabolic(module, para)
     passes = []
-    kernel = brute._kernel
+    block_kernel = brute._block_kernel
 
-    def counted(module, blocks, labels, *rest):
+    def counted(module, blocks, labels, *rest, **options):
         passes.append(list(labels))
-        return kernel(module, blocks, labels, *rest)
+        return block_kernel(module, blocks, labels, *rest, **options)
 
-    monkeypatch.setattr(brute, "_kernel", counted)
+    monkeypatch.setattr(brute, "_block_kernel", counted)
     assert constituent_count(module, para) == fresh == 6
     assert passes and para.nilradical_labels not in passes
 
@@ -447,7 +448,6 @@ def test_tensor_length_degree_four_against_semisimple_counts():
     # the grade-layer counts it would produce factor through gl(4) highest
     # weight counts on each block, which are affordable directly
     from math import comb
-    from mackey.socle import tensor_length
     counts = {j: gl_highest_weight_count(4, j, 0) for j in range(5)}
     assert counts == {0: 1, 1: 1, 2: 2, 3: 4, 4: 10}
     expected = sum(comb(4, k) * counts[k] * counts[4 - k] for k in range(5))
@@ -838,3 +838,80 @@ def test_degree_four_schur_shadow_at_the_stable_bound():
     assert filtration.layer_dimensions() == socle_shadow_layer_dims(lam, 8, 4)
     # the restricted module carries its weights, so no (i, i) is built on it
     assert schur._cache and not [label for label in schur._cache if label[0] == label[1]]
+
+
+# --- socle steps by Levi orbit against every block ---------------------------
+
+# the mixed modules (N, m, n) of the referee benchmark workload
+REFEREE_MIXED = [(2, 2, 2), (3, 1, 2), (3, 2, 1), (3, 2, 2), (4, 1, 1), (4, 1, 2), (4, 2, 1),
+                 (5, 1, 2), (5, 2, 1), (4, 2, 2), (8, 1, 2)]
+
+
+def orbit_cases():
+    """The dual powers of the socle grid, the referee's mixed modules at
+    every b, and the fourth dual power at (8, 4), each with its parabolic."""
+    for n_rank, b in SOCLE_SHADOW_GRID:
+        for m in range(1, min(b, n_rank - b, 3) + 1):
+            yield build_tensor_module(n_rank, m, 0), parabolic(n_rank, b)
+    for n_rank, m, n in REFEREE_MIXED:
+        for b in range(1, n_rank):
+            yield build_tensor_module(n_rank, m, n), parabolic(n_rank, b)
+    yield build_tensor_module(8, 4, 0), parabolic(8, 4)
+
+
+def kernel_blocks(module, para):
+    """The socle steps of the module, and the blocks the nilradical kernel
+    ran on to find them."""
+    seen = set()
+    block_kernel = brute._block_kernel
+
+    def recorded(module, blocks, labels, b, *rest):
+        seen.add(b)
+        return block_kernel(module, blocks, labels, b, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(brute, "_block_kernel", recorded)
+        steps = brute._socle_steps(module, para, _weight_blocks(module, para.labels))
+    return steps, seen
+
+
+def test_socle_steps_by_orbit_equal_the_kernel_over_every_block():
+    cases = 0
+    for module, para in orbit_cases():
+        blocks = _weight_blocks(module, para.labels)
+        steps, seen = kernel_blocks(module, para)
+        assert seen == {b for b, (d, _) in enumerate(brute._levi_orbits(module, para, blocks))
+                        if d == b}
+        for low, step in zip(steps, steps[1:]):
+            full = brute._kernel(module, blocks, para.nilradical_labels, low)
+            assert step == full, (module, para)
+        cases += 1
+    assert cases == 9 + 34 + 1
+
+
+def test_dominant_blocks_are_the_weights_sorted_within_each_levi_block():
+    for n_rank, b, m, dominant in [(7, 3, 3, 10), (8, 4, 4, 20)]:
+        module, para = build_tensor_module(n_rank, m, 0), parabolic(n_rank, b)
+        blocks = _weight_blocks(module, para.labels)
+        orbits = brute._levi_orbits(module, para, blocks)
+        kept = [blocks.weights[d] for d, table in orbits if table is None]
+        assert len(kept) == dominant
+        assert all(list(w[:b]) == sorted(w[:b], reverse=True)
+                   and list(w[b:]) == sorted(w[b:], reverse=True) for w in kept)
+
+
+def test_a_module_without_words_runs_the_kernel_on_every_block():
+    module, para = build_tensor_module(6, 3, 0), parabolic(6, 3)
+    schur = restrict_module(module, young_project(module, P([2, 1]), EMPTY))
+    blocks = _weight_blocks(schur, para.labels)
+    steps, seen = kernel_blocks(schur, para)
+    assert len(blocks.positions) > 1 and seen == set(range(len(blocks.positions)))
+    for low, step in zip(steps, steps[1:]):
+        assert step == brute._kernel(schur, blocks, para.nilradical_labels, low)
+
+
+def test_degree_four_socle_filtration_and_count_at_the_stable_bound():
+    module, para = build_tensor_module(8, 4, 0), parabolic(8, 4)
+    assert socle_filtration_parabolic(module, para).layer_dimensions() == [
+        256, 1024, 1536, 1024, 256]
+    assert constituent_count(module, para) == tensor_length(4, 0) == 76

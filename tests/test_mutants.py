@@ -15,9 +15,11 @@ from itertools import zip_longest
 
 import pytest
 
+import test_brute
 import test_socle
 import test_symfunc
-from mackey import socle, symfunc, verify
+from mackey import brute, socle, symfunc, verify
+from mackey.linalg import Subspace
 
 LAYERS = "coproduct layers vs standard tableaux (size <= 10)"
 CONJUGATION = "coproduct commutes with conjugation (size <= 10)"
@@ -69,6 +71,19 @@ def left_justified_rows():
     return table
 
 
+def transport_unpermuted(part, table):
+    """_transport that copies the rows of the dominant part to the same
+    local positions, without moving them by sigma."""
+    return Subspace(len(table), [dict(row) for row in part.echelon.values()])
+
+
+def kernel_without_high():
+    """_kernel that drops its upper bound: the joint kernel on the whole
+    module over low, not on high/low."""
+    real = brute._kernel
+    return lambda module, blocks, labels, low, high=None: real(module, blocks, labels, low)
+
+
 # (row id, module, name, fault factory, verify checks that must fail, the
 # tier-1 test that catches an escape or None)
 MUTANTS = [
@@ -85,6 +100,14 @@ MUTANTS = [
     ("socle_layer_order_swapped", socle, "_by_parts",
      lambda: lambda term: term[0][1] + term[0][0], set(),
      test_socle.test_socle_layers_come_in_the_order_of_the_sorted_coproduct),
+    # escapes verify, which takes socle steps of word modules only on dual
+    # powers: there a word's grade is read off its weight, so each step is 0
+    # or all of a block and the copy is right; the mixed modules catch it
+    ("orbit_transport_unpermuted", brute, "_transport",
+     lambda: transport_unpermuted, set(),
+     test_brute.test_socle_steps_by_orbit_equal_the_kernel_over_every_block),
+    ("kernel_without_high", brute, "_kernel", kernel_without_high,
+     {"parabolic constituent counts vs length formula"}, None),
 ]
 
 
