@@ -1,9 +1,9 @@
 """Exact finite-rank oracle: explicit tensor modules over gl(N) with
 matrix-unit actions, traceless subspaces, Young symmetrizers, parabolic
 socle filtrations, constituent counts, and essentiality checks, all run
-block by block on the weight grading a module carries; the socle steps of
-a word module run once per orbit of blocks under the Levi's letter
-permutations.
+block by block on the weight grading a module carries; the socle steps and
+essentiality kernels of a word module run once per Levi orbit of blocks,
+and the raising kernels of a constituent count on one chamber of weights.
 
 Everything is over exact rationals; the point of this module is to be an
 independent numerical referee for the tableau combinatorics, so no result
@@ -386,9 +386,6 @@ class Filtration:
                 raise ValueError("filtration steps are not ascending")
         self.steps = steps
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def __iter__(self):
         return iter(self.steps)
 
@@ -540,17 +537,6 @@ def _block_kernel(module: ExplicitModule, blocks: _WeightBlocks,
     return _kernel_space(rows, size)
 
 
-def _kernel(module: ExplicitModule, blocks: _WeightBlocks,
-            labels: Sequence[GeneratorLabel], low: Sequence[Subspace],
-            high: Sequence[Subspace] | None = None) -> list[Subspace]:
-    """Block parts of {v in high : A v in low for every generator A of the
-    labels}, high the whole module when None: the lift of the joint kernel
-    on high/low, found block by block.
-    """
-    return [_block_kernel(module, blocks, labels, b, low, None if high is None else high[b])
-            for b in range(len(blocks.positions))]
-
-
 def _levi_orbits(module: ExplicitModule, para: ParabolicData, blocks: _WeightBlocks
                  ) -> list[tuple[int, list[int] | None]]:
     """For each weight block, the dominant block d of its orbit under the
@@ -629,11 +615,6 @@ def socle_filtration_parabolic(module: ExplicitModule, para: ParabolicData) -> F
                        for step in _socle_steps(module, para, blocks)[1:]])
 
 
-def _coordinate_subspace(ambient: int, positions: Sequence[int]) -> Subspace:
-    """The span of the unit vectors at these increasing positions."""
-    return Subspace.from_blocks(ambient, [(positions, full_space(len(positions)))])
-
-
 def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
     """Binary-word grade filtration: step k spans the basis words with at
     most k starred tensorands outside the distinguished block.
@@ -643,8 +624,8 @@ def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
     blocks = _weight_blocks(module, para.labels)
     return Filtration([
         Subspace.from_blocks(module.dimension, [
-            (members, _coordinate_subspace(len(members), [
-                k for k, pos in enumerate(members) if grades[pos] <= step]))
+            (members, Subspace._of_echelon(len(members), {
+                k: {k: 1} for k, pos in enumerate(members) if grades[pos] <= step}))
             for members in blocks.positions])
         for step in range(module.star_slots + 1)])
 
@@ -666,6 +647,12 @@ def _is_invariant(module: ExplicitModule, blocks: _WeightBlocks,
     return True
 
 
+def _dominant_blocks(module: ExplicitModule, para: ParabolicData,
+                     blocks: _WeightBlocks) -> list[int]:
+    """The dominant blocks of _levi_orbits."""
+    return [b for b, (d, _) in enumerate(_levi_orbits(module, para, blocks)) if d == b]
+
+
 def is_essential_filtration(module: ExplicitModule, filtration: Filtration, algebra) -> bool:
     """Whether every step of the filtration is essential in the next.
 
@@ -674,6 +661,11 @@ def is_essential_filtration(module: ExplicitModule, filtration: Filtration, alge
     chain (augmented with 0 at the bottom). The algebra is ParabolicData,
     whose nilradical n kills every simple module, so the socle of high/low
     lifts to {v in high : n v in low}; or the zero algebra (no labels).
+
+    Each step is checked invariant under every Levi label on every block,
+    so it is stable under GL(b) x GL(N-b), whose permutation matrices act on
+    words as P_sigma; so is each socle, as sigma keeps the nilradical labels.
+    So the containment runs on the dominant blocks of _levi_orbits only.
     """
     if isinstance(algebra, ParabolicData):
         labels, radical = algebra.labels, algebra.nilradical_labels
@@ -693,11 +685,17 @@ def is_essential_filtration(module: ExplicitModule, filtration: Filtration, alge
             chain.append(parts)
     if filtration.steps[-1].dim != module.dimension:
         raise ValueError("filtration does not end at the whole module")
-    for low, mid, high in zip(chain, chain[1:], chain[2:]):
-        socle = _kernel(module, blocks, radical, low, high)
-        if not all(m.contains_subspace(s) for m, s in zip(mid, socle)):
-            return False
-    return True
+    dominant = _dominant_blocks(module, algebra, blocks) if radical else [0]  # one block
+    return all(mid[b].contains_subspace(_block_kernel(module, blocks, radical, b, low, high[b]))
+               for low, mid, high in zip(chain, chain[1:], chain[2:]) for b in dominant)
+
+
+def _raising_chamber(para: ParabolicData, blocks: _WeightBlocks) -> list[int]:
+    """The blocks whose weight has w_i <= w_(i+1) for each Levi raising
+    label (i, i+1), and the one block of an ungraded module, of weight ()."""
+    raising = para.levi_raising_labels()
+    return [b for b, w in enumerate(blocks.weights)
+            if not w or all(w[i - 1] <= w[j - 1] for i, j in raising)]
 
 
 def constituent_count(module: ExplicitModule, para: ParabolicData) -> int:
@@ -705,10 +703,13 @@ def constituent_count(module: ExplicitModule, para: ParabolicData) -> int:
     socle-filtration layers are semisimple Levi modules, so each layer
     contributes the dimension of its joint kernel under the Levi raising
     generators (one highest weight line per constituent).
+
+    Only blocks of _raising_chamber hold such lines: e = (i, i+1) and f =
+    (i+1, i) span an sl2 with h = [e, f] = x_(i+1,i+1) - x_(i,i), and a
+    vector that e kills has h-eigenvalue w_(i+1) - w_i >= 0.
     """
     blocks = _weight_blocks(module, para.labels)
     steps = _socle_steps(module, para, blocks)
-    raising = para.levi_raising_labels()
-    return sum(k.dim - p.dim for low, high in zip(steps, steps[1:])
-               for k, p in zip(_kernel(module, blocks, raising, low, high), low))
-
+    raising, chamber = para.levi_raising_labels(), _raising_chamber(para, blocks)
+    return sum(_block_kernel(module, blocks, raising, b, low, high[b]).dim - low[b].dim
+               for low, high in zip(steps, steps[1:]) for b in chamber)

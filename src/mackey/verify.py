@@ -18,7 +18,7 @@ from math import comb, factorial
 
 from . import brute, socle, symfunc
 from .brute import DEFAULT_BUDGET
-from .linalg import SparseMatrix, Subspace, unit_vec, vec
+from .linalg import SparseMatrix, Subspace, full_space, vec
 from .partitions import (EMPTY, Partition, dim_mixed, dim_schur, partitions_of, partitions_up_to,
                          syt_count)
 
@@ -230,13 +230,17 @@ def _essentiality(budget: int, seed: int) -> Outcomes:
             filtration = brute.grade_filtration(module, para)
             yield (None if brute.is_essential_filtration(module, filtration, para)
                    else f"grade filtration N={n_rank}, b={b}, m={m}")
+            if m == 2:  # negative case: Sym^2 misses the antisymmetric socle part
+                bad = brute.Filtration([brute.young_project(module, Partition([2]), EMPTY),
+                                        full_space(module.dimension)])
+                yield (f"[Sym^2, whole] N={n_rank}, b={b} reported essential"
+                       if brute.is_essential_filtration(module, bad, para) else None)
     # designed negative case: a line inside trivial + trivial over the
     # zero algebra is not essential (the socle is everything)
     rng = random.Random(seed + 2)
     zero_module = brute.ExplicitModule(2, 1, lambda label: SparseMatrix(2))
     line = Subspace(2, [vec([rng.randint(1, 5), rng.randint(1, 5)])])
-    full = Subspace(2, [unit_vec(2, 0), unit_vec(2, 1)])
-    bad = brute.Filtration([line, full])
+    bad = brute.Filtration([line, full_space(2)])
     yield ("trivial + trivial negative case reported essential"
            if brute.is_essential_filtration(zero_module, bad, []) else None)
 

@@ -426,21 +426,14 @@ def test_constituent_count_matches_length_formula():
     assert constituent_count(build_tensor_module(4, 1, 0), parabolic(4, 2)) == 2
 
 
-def test_constituent_count_reuses_the_socle_steps(monkeypatch):
+def test_constituent_count_reuses_the_socle_steps():
     para = parabolic(6, 3)
     fresh = constituent_count(build_tensor_module(6, 2, 0), para)
     module = build_tensor_module(6, 2, 0)
     socle_filtration_parabolic(module, para)
-    passes = []
-    block_kernel = brute._block_kernel
-
-    def counted(module, blocks, labels, *rest, **options):
-        passes.append(list(labels))
-        return block_kernel(module, blocks, labels, *rest, **options)
-
-    monkeypatch.setattr(brute, "_block_kernel", counted)
-    assert constituent_count(module, para) == fresh == 6
-    assert passes and para.nilradical_labels not in passes
+    count, seen = recorded_kernel_blocks(lambda: constituent_count(module, para))
+    assert count == fresh == 6
+    assert seen and tuple(para.nilradical_labels) not in seen
 
 
 def test_tensor_length_degree_four_against_semisimple_counts():
@@ -859,20 +852,36 @@ def orbit_cases():
     yield build_tensor_module(8, 4, 0), parabolic(8, 4)
 
 
-def kernel_blocks(module, para):
-    """The socle steps of the module, and the blocks the nilradical kernel
-    ran on to find them."""
-    seen = set()
+def kernel_over_every_block(module, blocks, labels, low, high=None):
+    """Block parts of {v in high : A v in low for every generator A of the
+    labels}, high the whole module when None, with the kernel run on every
+    block: the reference the routes that skip blocks are held to."""
+    return [brute._block_kernel(module, blocks, labels, b, low, None if high is None else high[b])
+            for b in range(len(blocks.positions))]
+
+
+def recorded_kernel_blocks(run):
+    """The value of run(), and the blocks the kernel ran on with each set of
+    labels meanwhile."""
+    seen = {}
     block_kernel = brute._block_kernel
 
     def recorded(module, blocks, labels, b, *rest):
-        seen.add(b)
+        seen.setdefault(tuple(labels), set()).add(b)
         return block_kernel(module, blocks, labels, b, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(brute, "_block_kernel", recorded)
-        steps = brute._socle_steps(module, para, _weight_blocks(module, para.labels))
-    return steps, seen
+        value = run()
+    return value, seen
+
+
+def kernel_blocks(module, para):
+    """The socle steps of the module, and the blocks the nilradical kernel
+    ran on to find them."""
+    steps, seen = recorded_kernel_blocks(
+        lambda: brute._socle_steps(module, para, _weight_blocks(module, para.labels)))
+    return steps, seen.get(tuple(para.nilradical_labels), set())
 
 
 def test_socle_steps_by_orbit_equal_the_kernel_over_every_block():
@@ -883,7 +892,7 @@ def test_socle_steps_by_orbit_equal_the_kernel_over_every_block():
         assert seen == {b for b, (d, _) in enumerate(brute._levi_orbits(module, para, blocks))
                         if d == b}
         for low, step in zip(steps, steps[1:]):
-            full = brute._kernel(module, blocks, para.nilradical_labels, low)
+            full = kernel_over_every_block(module, blocks, para.nilradical_labels, low)
             assert step == full, (module, para)
         cases += 1
     assert cases == 9 + 34 + 1
@@ -907,7 +916,88 @@ def test_a_module_without_words_runs_the_kernel_on_every_block():
     steps, seen = kernel_blocks(schur, para)
     assert len(blocks.positions) > 1 and seen == set(range(len(blocks.positions)))
     for low, step in zip(steps, steps[1:]):
-        assert step == brute._kernel(schur, blocks, para.nilradical_labels, low)
+        assert step == kernel_over_every_block(schur, blocks, para.nilradical_labels, low)
+
+
+# --- counts and essentiality on chosen blocks against every block ---------------
+
+def every_block(*args):
+    """All the blocks, which come as the last argument."""
+    return list(range(len(args[-1].positions)))
+
+
+def over_every_block(run):
+    """The value of run() with the count and the essentiality kernels run
+    on every block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(brute, "_raising_chamber", every_block)
+        patch.setattr(brute, "_dominant_blocks", every_block)
+        return run()
+
+
+def essentiality_cases(module, para):
+    """The socle filtration of the module; on a dual power also its grade
+    filtration, and on the second dual power [Sym^2, whole] too."""
+    filtrations = [socle_filtration_parabolic(module, para)]
+    if module.plain_slots == 0:
+        filtrations.append(grade_filtration(module, para))
+        if module.star_slots == 2:
+            sym = young_project(module, P([2]), EMPTY)
+            filtrations.append(Filtration([sym, full_space(module.dimension)]))
+    return filtrations
+
+
+def test_counts_and_essentiality_on_chosen_blocks_equal_every_block():
+    cases, outcomes = 0, set()
+    for module, para in orbit_cases():
+        count = constituent_count(module, para)
+        assert count == over_every_block(lambda: constituent_count(module, para)), (module, para)
+        for filtration in essentiality_cases(module, para):
+            essential = is_essential_filtration(module, filtration, para)
+            assert essential == over_every_block(
+                lambda: is_essential_filtration(module, filtration, para)), (module, para)
+            outcomes.add(essential)
+        cases += 1
+    assert cases == 9 + 34 + 1 and outcomes == {True, False}
+
+
+def test_raising_kernels_outside_the_ascending_chamber_are_low():
+    skipped = 0
+    for module, para in orbit_cases():
+        blocks = _weight_blocks(module, para.labels)
+        chamber = brute._raising_chamber(para, blocks)
+        # w_k <= w_(k+1) for k = 1..N-1 but b, with w_k at w[k - 1]
+        assert chamber == [c for c, w in enumerate(blocks.weights)
+                           if all(w[k - 1] <= w[k] for k in range(1, para.n_rank) if k != para.b)]
+        steps = brute._socle_steps(module, para, blocks)
+        raising = para.levi_raising_labels()
+        for low, high in zip(steps, steps[1:]):
+            for b in sorted(set(range(len(blocks.positions))) - set(chamber)):
+                assert brute._block_kernel(module, blocks, raising, b, low, high[b]) == low[b]
+                skipped += 1
+    assert skipped > 0
+
+
+def test_essentiality_runs_the_kernel_on_the_dominant_blocks_only():
+    module, para = build_tensor_module(8, 4, 0), parabolic(8, 4)
+    blocks = _weight_blocks(module, para.labels)
+    socle_filtration_parabolic(module, para)
+    essential, seen = recorded_kernel_blocks(
+        lambda: is_essential_filtration(module, grade_filtration(module, para), para))
+    assert essential and list(seen) == [tuple(para.nilradical_labels)]
+    dominant = {b for b, (d, _) in enumerate(brute._levi_orbits(module, para, blocks)) if d == b}
+    assert seen[tuple(para.nilradical_labels)] == dominant
+    assert (len(dominant), len(blocks.positions)) == (20, 330)
+
+
+def test_an_ungraded_module_keeps_its_one_block():
+    module, para = build_tensor_module(4, 2, 0), parabolic(4, 2)
+    ungraded = ExplicitModule(module.dimension, 4, module.action)
+    blocks = _weight_blocks(ungraded, para.labels)
+    assert brute._raising_chamber(para, blocks) == [0]
+    assert brute._dominant_blocks(ungraded, para, blocks) == [0]
+    assert constituent_count(ungraded, para) == constituent_count(module, para)
+    assert constituent_count(module, para) == tensor_length(2, 0)
 
 
 def test_degree_four_socle_filtration_and_count_at_the_stable_bound():
@@ -915,3 +1005,4 @@ def test_degree_four_socle_filtration_and_count_at_the_stable_bound():
     assert socle_filtration_parabolic(module, para).layer_dimensions() == [
         256, 1024, 1536, 1024, 256]
     assert constituent_count(module, para) == tensor_length(4, 0) == 76
+    assert is_essential_filtration(module, grade_filtration(module, para), para)

@@ -78,10 +78,18 @@ def transport_unpermuted(part, table):
 
 
 def kernel_without_high():
-    """_kernel that drops its upper bound: the joint kernel on the whole
-    module over low, not on high/low."""
-    real = brute._kernel
-    return lambda module, blocks, labels, low, high=None: real(module, blocks, labels, low)
+    """_block_kernel that drops its upper bound: the joint kernel on the
+    whole module over low, not on high/low."""
+    real = brute._block_kernel
+    return lambda module, blocks, labels, b, low, upper=None: real(module, blocks, labels, b, low)
+
+
+def raising_chamber_descending(para, blocks):
+    """_raising_chamber that reads the descending chamber, w_i >= w_(i+1)
+    for every Levi raising label (i, i+1)."""
+    raising = para.levi_raising_labels()
+    return [b for b, w in enumerate(blocks.weights)
+            if all(w[i - 1] >= w[j - 1] for i, j in raising)]
 
 
 # (row id, module, name, fault factory, verify checks that must fail, the
@@ -106,8 +114,14 @@ MUTANTS = [
     ("orbit_transport_unpermuted", brute, "_transport",
      lambda: transport_unpermuted, set(),
      test_brute.test_socle_steps_by_orbit_equal_the_kernel_over_every_block),
-    ("kernel_without_high", brute, "_kernel", kernel_without_high,
+    ("kernel_without_high", brute, "_block_kernel", kernel_without_high,
      {"parabolic constituent counts vs length formula"}, None),
+    ("raising_chamber_descending", brute, "_raising_chamber",
+     lambda: raising_chamber_descending,
+     {"parabolic constituent counts vs length formula"}, None),
+    # essentiality over a parabolic that checks no socle containment
+    ("essential_containment_skipped", brute, "_dominant_blocks",
+     lambda: lambda module, para, blocks: [], {"grade filtration essentiality"}, None),
 ]
 
 
