@@ -24,6 +24,7 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, permutations, product
 from math import lcm
@@ -109,7 +110,40 @@ def _tensor_words(n_rank: int, m: int, n: int, budget: int) -> list[tuple[int, .
 def _word_weight(word: tuple[int, ...], m: int, n_rank: int) -> tuple[int, ...]:
     """The eigenvalues of the generators (1, 1)..(N, N) on a basis word with
     m starred slots: each plain slot i counts 1, each starred -1."""
-    return tuple(word[m:].count(i) - word[:m].count(i) for i in range(1, n_rank + 1))
+    weight = [0] * (n_rank + 1)
+    for s, i in enumerate(word):
+        weight[i] += 1 if s >= m else -1
+    return tuple(weight[1:])
+
+
+def _word_action(n_rank: int, m: int, n: int, weights: Sequence[tuple[int, ...]],
+                 label: GeneratorLabel) -> SparseMatrix:
+    """The matrix of the generator on the word basis of (C^N*)^(x)m (x)
+    (C^N)^(x)n, given the word weights, by position arithmetic: the words are
+    in lexicographic order, so the letter at slot s is the base-N digit of
+    stride N^(m+n-1-s), and changing it from j to i moves the position by
+    (i - j) * stride. Each column lists its entries in slot order.
+    """
+    i, j = label
+    dim = len(weights)
+    if i == j:
+        # the starred and plain slots of letter i add up to its weight
+        return SparseMatrix._of_cols(dim, {col: {col: w[i - 1]}
+                                           for col, w in enumerate(weights) if w[i - 1]})
+    cols: dict[int, dict[int, int]] = {}
+    for slot in range(m + n):
+        stride = n_rank ** (m + n - 1 - slot)
+        # starred slot: e_j* -> -e_i*; plain slot: e_i -> e_j
+        old, new, sign = (j, i, -1) if slot < m else (i, j, 1)
+        shift = (new - old) * stride
+        for start in range((old - 1) * stride, dim, n_rank * stride):
+            for col in range(start, start + stride):
+                entries = cols.get(col)
+                if entries is None:
+                    cols[col] = {col + shift: sign}
+                else:
+                    entries[col + shift] = sign
+    return SparseMatrix._of_cols(dim, cols)
 
 
 def build_tensor_module(n_rank: int, m: int, n: int,
@@ -119,28 +153,10 @@ def build_tensor_module(n_rank: int, m: int, n: int,
     have integer entries.
     """
     words = _tensor_words(n_rank, m, n, budget)
-    dim = len(words)
-    index = {w: pos for pos, w in enumerate(words)}
-
-    def build(label: GeneratorLabel) -> SparseMatrix:
-        i, j = label
-        entries = []
-        for col, word in enumerate(words):
-            for slot, idx in enumerate(word):
-                if slot < m:
-                    # starred slot: e_j* -> -e_i*
-                    if idx == j:
-                        tgt = word[:slot] + (i,) + word[slot + 1:]
-                        entries.append((index[tgt], col, -1))
-                else:
-                    # plain slot: e_i -> e_j
-                    if idx == i:
-                        tgt = word[:slot] + (j,) + word[slot + 1:]
-                        entries.append((index[tgt], col, 1))
-        return SparseMatrix.from_entries(dim, entries)
-
-    return ExplicitModule(dim, n_rank, build, words, m, n,
-                          [_word_weight(word, m, n_rank) for word in words])
+    weights = [_word_weight(word, m, n_rank) for word in words]
+    return ExplicitModule(len(words), n_rank,
+                          lambda label: _word_action(n_rank, m, n, weights, label),
+                          words, m, n, weights)
 
 
 def restrict_module(module: ExplicitModule, subspace: Subspace) -> ExplicitModule:
@@ -241,14 +257,20 @@ def traceless_subspace(module: ExplicitModule) -> Subspace:
 def traceless_dimension(n_rank: int, m: int, n: int,
                         budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the traceless subspace of (C^N*)^(x)m (x) (C^N)^(x)n,
-    by contraction-constraint ranks per weight block. Never materializes
-    action matrices, so it scales to the full budget.
+    by contraction-constraint ranks per weight block. A letter permutation
+    in S_N moves the block of weight w onto that of the permuted weight and
+    its contraction rows onto the other's, so the rank is found once per
+    S_N orbit, on the block whose weight descends, and counted once per
+    block of the orbit. Never materializes action matrices, so it scales
+    to the full budget.
     """
     words = _tensor_words(n_rank, m, n, budget)
-    blocks = _WeightBlocks(range(1, n_rank + 1),
-                           [_word_weight(word, m, n_rank) for word in words])
-    return sum(len(members) - rank(_contraction_rows(words, m, n, members))
-               for members in blocks.positions)
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for pos, word in enumerate(words):
+        blocks.setdefault(_word_weight(word, m, n_rank), []).append(pos)
+    orbits = Counter(tuple(sorted(weight, reverse=True)) for weight in blocks)
+    return sum(size * (len(blocks[w]) - rank(_contraction_rows(words, m, n, blocks[w])))
+               for w, size in orbits.items())
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +382,19 @@ class ParabolicData:
     def labels(self) -> list[GeneratorLabel]:
         return self.levi_labels + self.nilradical_labels
 
+    def simple_labels(self) -> list[GeneratorLabel]:
+        """The simple Levi labels (i, i+1) and (i+1, i) for i != b, and the
+        nilradical label (b, b+1). With the diagonal labels they generate
+        the parabolic: the Levi from its simple roots, and the nilradical,
+        one simple module of the Levi, from any of its labels.
+        """
+        labels = []
+        for i in range(1, self.n_rank):
+            labels.append((i, i + 1))
+            if i != self.b:
+                labels.append((i + 1, i))
+        return labels
+
     def levi_raising_labels(self) -> list[GeneratorLabel]:
         """Simple positive generators of the Levi blocks, for counting
         constituents of semisimple Levi modules by highest weight vectors.
@@ -433,10 +468,17 @@ class _WeightBlocks:
         """
         found = self._targets.get(label)
         if found is None:
-            k, l = label
-            delta = [(i == l) - (i == k) for i in self.indices]
-            found = [self._number.get(tuple(x + d if d else x for x, d in zip(w, delta)))
-                     for w in self.weights]
+            # the coordinates of k and l among the indices, where present
+            at = {i: c for c, i in enumerate(self.indices)}
+            k, l = at.get(label[0]), at.get(label[1])
+            found = []
+            for w in self.weights:
+                shifted = list(w)
+                if l is not None:
+                    shifted[l] += 1
+                if k is not None:
+                    shifted[k] -= 1
+                found.append(self._number.get(tuple(shifted)))
             for j, col in module.action(label).cols.items():
                 if any(self.block_of[i] != found[self.block_of[j]] for i in col):
                     raise ValueError(f"generator {label} does not shift weights")
@@ -662,20 +704,24 @@ def is_essential_filtration(module: ExplicitModule, filtration: Filtration, alge
     whose nilradical n kills every simple module, so the socle of high/low
     lifts to {v in high : n v in low}; or the zero algebra (no labels).
 
-    Each step is checked invariant under every Levi label on every block,
-    so it is stable under GL(b) x GL(N-b), whose permutation matrices act on
-    words as P_sigma; so is each socle, as sigma keeps the nilradical labels.
-    So the containment runs on the dominant blocks of _levi_orbits only.
+    Each step is checked invariant under the simple labels of the parabolic
+    and the diagonal labels, on every block; a subspace that generators
+    keep is kept by the Lie algebra they generate, here the whole
+    parabolic. So each step is stable under GL(b) x GL(N-b), whose
+    permutation matrices act on words as P_sigma; so is each socle, as
+    sigma keeps the nilradical labels. So the containment runs on the
+    dominant blocks of _levi_orbits only.
     """
     if isinstance(algebra, ParabolicData):
         labels, radical = algebra.labels, algebra.nilradical_labels
+        simple = algebra.simple_labels()
     elif not list(algebra):
-        labels = radical = []
+        labels = radical = simple = []
     else:
         raise ValueError("essentiality is decided over a parabolic or the zero algebra")
     blocks = _weight_blocks(module, labels)
     # a sum of block parts is invariant under the (i, i) that grade the blocks
-    moving = [(i, j) for i, j in labels if i != j or i not in blocks.indices]
+    moving = simple + [(i, j) for i, j in labels if i == j and i not in blocks.indices]
     chain = [blocks.zero()]
     for step in filtration:
         parts = blocks.split(step)

@@ -282,6 +282,14 @@ class SparseMatrix:
         return cls(dim, cols)
 
     @classmethod
+    def _of_cols(cls, dim: int, cols: dict[int, dict[int, int | Fraction]]) -> "SparseMatrix":
+        """The matrix of columns that already hold only nonzero ints or
+        Fractions, taken as they are."""
+        mat = cls.__new__(cls)
+        mat.dim, mat.cols = dim, cols
+        return mat
+
+    @classmethod
     def diagonal(cls, values: Sequence) -> "SparseMatrix":
         return cls(len(values), {j: {j: v} for j, v in enumerate(values)})
 

@@ -26,6 +26,7 @@ from mackey.linalg import (
     Subspace,
     full_space,
     nullspace,
+    rank,
     unit_vec,
     vec,
 )
@@ -39,6 +40,10 @@ from matrix_ops import (add, compose, diagonal, dump_filtration, dump_matrix,
 
 P = Partition
 F = Fraction
+
+# the mixed modules (N, m, n) of the referee benchmark workload
+REFEREE_MIXED = [(2, 2, 2), (3, 1, 2), (3, 2, 1), (3, 2, 2), (4, 1, 1), (4, 1, 2), (4, 2, 1),
+                 (5, 1, 2), (5, 2, 1), (4, 2, 2), (8, 1, 2)]
 
 
 def bracket(x, y):
@@ -131,6 +136,52 @@ def test_action_respects_the_bracket_on_every_generator_pair():
                         assert commutator == expected, (n_rank, m, n, x, y)
 
 
+def word_by_word_action(module, label):
+    """The matrix of the generator on a word module, built word by word:
+    each slot that the label moves is rewritten and the new word looked up.
+    The reference for the engine's position arithmetic."""
+    words, m = module.labels, module.star_slots
+    index = {w: pos for pos, w in enumerate(words)}
+    i, j = label
+    entries = []
+    for col, word in enumerate(words):
+        for slot, idx in enumerate(word):
+            if slot < m:
+                # starred slot: e_j* -> -e_i*
+                if idx == j:
+                    tgt = word[:slot] + (i,) + word[slot + 1:]
+                    entries.append((index[tgt], col, -1))
+            else:
+                # plain slot: e_i -> e_j
+                if idx == i:
+                    tgt = word[:slot] + (j,) + word[slot + 1:]
+                    entries.append((index[tgt], col, 1))
+    return SparseMatrix.from_entries(module.dimension, entries)
+
+
+def test_arithmetic_builder_matches_the_word_by_word_one():
+    cases = [(n_rank, m, n) for n_rank in range(1, 6) for m in range(4)
+             for n in range(4 - m)] + [(8, 1, 2), (8, 4, 0)]
+    cancelled = 0
+    for n_rank, m, n in cases:
+        module = build_tensor_module(n_rank, m, n)
+        for label in module.generator_labels():
+            mat, reference = module.action(label), word_by_word_action(module, label)
+            assert mat == reference, (n_rank, m, n, label)
+            # each column lists its entries in the same order, slot by slot
+            assert all(list(col.items()) == list(reference.cols[j].items())
+                       for j, col in mat.cols.items()), (n_rank, m, n, label)
+            i, j = label
+            if i == j:
+                # a word with as many starred as plain slots of letter i has
+                # entries -1 and 1 that cancel, and no column
+                zeros = [col for col, word in enumerate(module.labels)
+                         if 0 < word[:m].count(i) == word[m:].count(i)]
+                assert not [col for col in zeros if col in mat.cols], (n_rank, m, n, label)
+                cancelled += len(zeros)
+    assert cancelled > 0
+
+
 def test_word_modules_hold_integer_matrices():
     # the action entries are -1, 0 and 1, and reach the integer kernel as ints
     for n_rank, m, n in [(3, 2, 0), (3, 1, 2), (2, 2, 2)]:
@@ -166,13 +217,23 @@ def test_traceless_dimensions():
     assert traceless_subspace(build_tensor_module(3, 2, 1)).dim == 21
 
 
+def traceless_dimension_over_every_block(module):
+    """The traceless dimension of a word module by the contraction-row ranks
+    of every weight block: the reference for ranking one block per S_N
+    orbit."""
+    m, n = module.star_slots, module.plain_slots
+    return sum(len(members) - rank(brute._contraction_rows(module.labels, m, n, members))
+               for members in _weight_blocks(module, module.generator_labels()).positions)
+
+
 def test_traceless_dimension_matches_subspace():
-    for n_rank in (2, 3):
-        for m in range(3):
-            for n in range(3):
-                module = build_tensor_module(n_rank, m, n)
-                assert traceless_dimension(n_rank, m, n) == \
-                    traceless_subspace(module).dim
+    cases = [(n_rank, m, n) for n_rank in range(1, 7) for m in range(4)
+             for n in range(4 - m)] + REFEREE_MIXED
+    assert (4, 2, 2) in cases
+    for n_rank, m, n in cases:
+        module = build_tensor_module(n_rank, m, n)
+        assert (traceless_dimension(n_rank, m, n) == traceless_dimension_over_every_block(module)
+                == traceless_subspace(module).dim), (n_rank, m, n)
 
 
 def test_traceless_subspace_is_invariant():
@@ -650,10 +711,10 @@ def test_graded_engine_matches_dense_on_a_mixed_module():
     assert_graded_matches_dense(module, para, [grade_filtration(module, para)])
 
 
-def test_graded_engine_matches_dense_without_diagonal_generators():
-    # conjugating by a unipotent u mixes the weight spaces, so no (i, i)
-    # acts diagonally and the whole module is one block
-    module = build_tensor_module(4, 2, 0)
+def unipotent_twist(module):
+    """The module conjugated by the unipotent u = 1 + (shift down by one),
+    and u. Conjugating mixes the weight spaces, so no (i, i) acts diagonally
+    and the whole module is one block."""
     dim = module.dimension
     shift = SparseMatrix(dim, {k + 1: {k: F(1)} for k in range(dim - 1)})
     identity = SparseMatrix.diagonal([1] * dim)
@@ -662,7 +723,13 @@ def test_graded_engine_matches_dense_without_diagonal_generators():
         term = scaled(compose(term, shift), -1)
         u_inverse = add(u_inverse, term)
     assert compose(u, u_inverse) == identity
-    twisted = conjugated(module, u, u_inverse)
+    return conjugated(module, u, u_inverse), u
+
+
+def test_graded_engine_matches_dense_without_diagonal_generators():
+    module = build_tensor_module(4, 2, 0)
+    dim = module.dimension
+    twisted, u = unipotent_twist(module)
     assert twisted.weights is None
     assert all(diagonal(twisted.action((i, i))) is None for i in range(1, 5))
     para = parabolic(4, 2)
@@ -835,11 +902,6 @@ def test_degree_four_schur_shadow_at_the_stable_bound():
 
 # --- socle steps by Levi orbit against every block ---------------------------
 
-# the mixed modules (N, m, n) of the referee benchmark workload
-REFEREE_MIXED = [(2, 2, 2), (3, 1, 2), (3, 2, 1), (3, 2, 2), (4, 1, 1), (4, 1, 2), (4, 2, 1),
-                 (5, 1, 2), (5, 2, 1), (4, 2, 2), (8, 1, 2)]
-
-
 def orbit_cases():
     """The dual powers of the socle grid, the referee's mixed modules at
     every b, and the fourth dual power at (8, 4), each with its parabolic."""
@@ -1006,3 +1068,92 @@ def test_degree_four_socle_filtration_and_count_at_the_stable_bound():
         256, 1024, 1536, 1024, 256]
     assert constituent_count(module, para) == tensor_length(4, 0) == 76
     assert is_essential_filtration(module, grade_filtration(module, para), para)
+
+
+# --- invariance on the simple labels against every label ------------------------
+
+def moving_labels(module, filtration, labels):
+    """The labels that move some step of the filtration, by dense images of
+    every basis vector: the reference for checking the simple labels only."""
+    return [label for label in labels
+            if any(not step.contains(module.action(label).apply(v))
+                   for step in filtration for v in step.basis)]
+
+
+def refused_as_not_invariant(module, filtration, para):
+    """Whether is_essential_filtration refuses the filtration as moved by the
+    action, through a label or a diagonal generator."""
+    try:
+        is_essential_filtration(module, filtration, para)
+    except ValueError as error:
+        assert "not action-invariant" in str(error) or "diagonal generator" in str(error)
+        return True
+    return False
+
+
+def planted_steps():
+    """Steps moved by one kind of label each, with the filtration they end,
+    the parabolic and the labels that move them."""
+    # the crooked line of C^2*: moved by the diagonal and the nilradical
+    module = build_tensor_module(2, 1, 0)
+    yield module, Subspace(2, [vec([1, 1])]), parabolic(2, 1), [(1, 1), (2, 2), (1, 2)]
+    # e1* (x) e1*, a block part of (C^4*)^(x)2: (2, 1) lowers it to -(e2* (x) e1*
+    # + e1* (x) e2*), and every other label of the parabolic keeps it
+    module = build_tensor_module(4, 2, 0)
+    yield (module, Subspace(16, [unit_vec(16, module.labels.index((1, 1)))]),
+           parabolic(4, 2), [(2, 1)])
+    # e4 in C^4: only (4, 3), the lowering label of the second Levi block, moves it
+    module = build_tensor_module(4, 0, 1)
+    yield module, Subspace(4, [unit_vec(4, 3)]), parabolic(4, 2), [(4, 3)]
+
+
+def test_invariance_on_the_simple_labels_agrees_with_every_label():
+    for n_rank, b in SOCLE_SHADOW_GRID:
+        para = parabolic(n_rank, b)
+        for m in range(1, min(b, n_rank - b, 3) + 1):
+            module = build_tensor_module(n_rank, m, 0)
+            for filtration in essentiality_cases(module, para):
+                assert moving_labels(module, filtration, para.labels) == []
+                assert not refused_as_not_invariant(module, filtration, para)
+    for module, step, para, movers in planted_steps():
+        filtration = Filtration([step, full_space(module.dimension)])
+        assert moving_labels(module, filtration, para.labels) == movers
+        assert refused_as_not_invariant(module, filtration, para), movers
+
+
+def test_an_ungraded_module_checks_its_diagonal_labels():
+    # the conjugated module of the dense comparison above: one block, so
+    # every (i, i) stays among the labels the steps are checked against
+    module = build_tensor_module(4, 2, 0)
+    dim = module.dimension
+    (twisted, u), para = unipotent_twist(module), parabolic(4, 2)
+    sym = young_project(module, P([2]), EMPTY)
+    lowered = Subspace(dim, [unit_vec(dim, module.labels.index((1, 1)))])
+    checked = set()
+    is_invariant = brute._is_invariant
+
+    def recorded(module, blocks, label, parts):
+        checked.add(label)
+        return is_invariant(module, blocks, label, parts)
+
+    for space in [sym, lowered]:
+        filtration = Filtration([Subspace(dim, [u.apply(v) for v in space.basis]),
+                                 full_space(dim)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(brute, "_is_invariant", recorded)
+            refused = refused_as_not_invariant(twisted, filtration, para)
+        assert refused == bool(moving_labels(twisted, filtration, para.labels))
+        assert refused == (space is lowered)
+    assert {(i, i) for i in range(1, 5)} <= checked
+    # a line of C^2* (x) C^2 that the one simple label (1, 2) kills but
+    # (1, 1) moves: e1* (x) e2 + e1* (x) e1 + e2* (x) e2, of weights (-1, 1)
+    # and (0, 0); without its weights the module is one block, and only the
+    # diagonal labels refuse the line
+    module = build_tensor_module(2, 1, 1)
+    ungraded, para = ExplicitModule(4, 2, module.action), parabolic(2, 1)
+    line = Subspace(4, [vec([1 if word in [(1, 2), (1, 1), (2, 2)] else 0
+                             for word in module.labels])])
+    filtration = Filtration([line, full_space(4)])
+    assert para.simple_labels() == [(1, 2)]
+    assert moving_labels(ungraded, filtration, para.labels) == [(1, 1), (2, 2)]
+    assert refused_as_not_invariant(ungraded, filtration, para)

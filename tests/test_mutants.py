@@ -19,7 +19,7 @@ import test_brute
 import test_socle
 import test_symfunc
 from mackey import brute, socle, symfunc, verify
-from mackey.linalg import Subspace
+from mackey.linalg import SparseMatrix, Subspace
 
 LAYERS = "coproduct layers vs standard tableaux (size <= 10)"
 CONJUGATION = "coproduct commutes with conjugation (size <= 10)"
@@ -92,6 +92,30 @@ def raising_chamber_descending(para, blocks):
             if all(w[i - 1] >= w[j - 1] for i, j in raising)]
 
 
+def simple_labels_without_lowering(para):
+    """ParabolicData.simple_labels without the Levi lowering labels
+    (i+1, i): the raising labels (i, i+1) only."""
+    return [(i, i + 1) for i in range(1, para.n_rank)]
+
+
+def plain_sign_flipped(n_rank, m, n, weights, label):
+    """_word_action with the sign of the plain slots flipped: e_i -> -e_j."""
+    i, j = label
+    dim = len(weights)
+    if i == j:
+        return SparseMatrix._of_cols(dim, {col: {col: w[i - 1]}
+                                           for col, w in enumerate(weights) if w[i - 1]})
+    cols = {}
+    for slot in range(m + n):
+        stride = n_rank ** (m + n - 1 - slot)
+        old, new, sign = (j, i, -1) if slot < m else (i, j, -1)
+        shift = (new - old) * stride
+        for start in range((old - 1) * stride, dim, n_rank * stride):
+            for col in range(start, start + stride):
+                cols.setdefault(col, {})[col + shift] = sign
+    return SparseMatrix._of_cols(dim, cols)
+
+
 # (row id, module, name, fault factory, verify checks that must fail, the
 # tier-1 test that catches an escape or None)
 MUTANTS = [
@@ -122,6 +146,14 @@ MUTANTS = [
     # essentiality over a parabolic that checks no socle containment
     ("essential_containment_skipped", brute, "_dominant_blocks",
      lambda: lambda module, para, blocks: [], {"grade filtration essentiality"}, None),
+    # escapes verify, whose filtrations are all invariant: a step that only a
+    # lowering label moves passes the check
+    ("simple_labels_without_lowering", brute.ParabolicData, "simple_labels",
+     lambda: simple_labels_without_lowering, set(),
+     test_brute.test_invariance_on_the_simple_labels_agrees_with_every_label),
+    # escapes verify, which builds the action of no module with plain slots
+    ("plain_slot_sign_flipped", brute, "_word_action", lambda: plain_sign_flipped, set(),
+     test_brute.test_arithmetic_builder_matches_the_word_by_word_one),
 ]
 
 
