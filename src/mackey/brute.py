@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, permutations, product
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .linalg import (
     SparseMatrix,
@@ -55,8 +55,7 @@ class ExplicitModule:
 
     Matrices are built on first use and cached, since most computations only
     touch the parabolic generators; so are the weight blocks and the
-    traceless subspace and socle steps built on them. Modules produced by
-    restriction reuse this class with a different builder. The labels of a
+    traceless subspace and socle steps built on them. The labels of a
     word-basis module are its basis words, tuples of indices 1..N whose
     first star_slots slots are starred; other modules have None. The weights
     hold the weight of each basis vector under (1, 1)..(N, N), or are None
@@ -94,17 +93,6 @@ class ExplicitModule:
 
     def __repr__(self) -> str:
         return f"ExplicitModule(dim={self.dimension}, rank={self.rank_n})"
-
-
-def _tensor_words(n_rank: int, m: int, n: int, budget: int) -> list[tuple[int, ...]]:
-    """The basis words of (C^N*)^(x)m (x) (C^N)^(x)n, once the rank, the
-    degrees and the budget are checked."""
-    if n_rank < 1 or m < 0 or n < 0:
-        raise ValueError("rank must be positive, degrees nonnegative")
-    if n_rank ** (m + n) > budget:
-        raise BudgetExceededError(f"module dimension {n_rank}^{m + n} = "
-                                  f"{n_rank ** (m + n)} exceeds budget {budget}")
-    return list(product(range(1, n_rank + 1), repeat=m + n))
 
 
 def _word_weight(word: tuple[int, ...], m: int, n_rank: int) -> tuple[int, ...]:
@@ -152,47 +140,16 @@ def build_tensor_module(n_rank: int, m: int, n: int,
     slot-wise derivation action of the generator labels, whose matrices
     have integer entries.
     """
-    words = _tensor_words(n_rank, m, n, budget)
+    if n_rank < 1 or m < 0 or n < 0:
+        raise ValueError("rank must be positive, degrees nonnegative")
+    if n_rank ** (m + n) > budget:
+        raise BudgetExceededError(f"module dimension {n_rank}^{m + n} = "
+                                  f"{n_rank ** (m + n)} exceeds budget {budget}")
+    words = list(product(range(1, n_rank + 1), repeat=m + n))
     weights = [_word_weight(word, m, n_rank) for word in words]
     return ExplicitModule(len(words), n_rank,
                           lambda label: _word_action(n_rank, m, n, weights, label),
                           words, m, n, weights)
-
-
-def restrict_module(module: ExplicitModule, subspace: Subspace) -> ExplicitModule:
-    """The module induced on an invariant subspace, in the coordinates and
-    with the weights of the subspace basis. A generator maps block b into
-    block targets(b), so coordinates are read in that block's part. Raises
-    if the subspace is not a sum of weight vectors, or a generator moves it.
-    """
-    blocks = _weight_blocks(module, module.generator_labels())
-    parts = blocks.split(subspace)
-    # the restricted basis is the subspace's, numbered in its pivot order
-    at = {pivot: col for col, pivot in enumerate(subspace.pivots)}
-    number = [[at[members[p]] for p in part.pivots]
-              for members, part in zip(blocks.positions, parts)]
-
-    def build(label: GeneratorLabel) -> SparseMatrix:
-        mat = module.action(label)
-        entries = []
-        for b, u in enumerate(blocks.targets(module, label)):
-            if u is None:
-                continue
-            for col, pivot in zip(number[b], parts[b].pivots):
-                # the basis vector is the echelon row divided by its pivot
-                row = parts[b].echelon[pivot]
-                try:
-                    coords = parts[u].coordinates(blocks.image(mat, b, row))
-                except ValueError:
-                    raise ValueError(
-                        f"subspace is not invariant under generator {label}") from None
-                entries.extend((r, col, Fraction(c, row[pivot]))
-                               for r, c in zip(number[u], coords) if c)
-        return SparseMatrix.from_entries(subspace.dim, entries)
-
-    weights = None if module.weights is None else [
-        blocks.weights[blocks.block_of[pivot]] for pivot in subspace.pivots]
-    return ExplicitModule(subspace.dim, module.rank_n, build, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +207,7 @@ def traceless_subspace(module: ExplicitModule) -> Subspace:
             (members, _kernel_space(
                 _contraction_rows(words, module.star_slots, module.plain_slots, members),
                 len(members)))
-            for members in _weight_blocks(module, module.generator_labels()).positions])
+            for members in _weight_blocks(module).positions])
     return space
 
 
@@ -264,12 +221,11 @@ def traceless_dimension(n_rank: int, m: int, n: int,
     block of the orbit. Never materializes action matrices, so it scales
     to the full budget.
     """
-    words = _tensor_words(n_rank, m, n, budget)
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for pos, word in enumerate(words):
-        blocks.setdefault(_word_weight(word, m, n_rank), []).append(pos)
-    orbits = Counter(tuple(sorted(weight, reverse=True)) for weight in blocks)
-    return sum(size * (len(blocks[w]) - rank(_contraction_rows(words, m, n, blocks[w])))
+    module = build_tensor_module(n_rank, m, n, budget)
+    blocks = _weight_blocks(module)
+    orbits = Counter(tuple(sorted(weight, reverse=True)) for weight in blocks.weights)
+    members = dict(zip(blocks.weights, blocks.positions))
+    return sum(size * (len(members[w]) - rank(_contraction_rows(module.labels, m, n, members[w])))
                for w, size in orbits.items())
 
 
@@ -339,7 +295,7 @@ def young_project(module: ExplicitModule, lam: Partition, mu: Partition) -> Subs
         raise ValueError(
             f"shape sizes ({lam.size}, {mu.size}) do not match slots ({m}, {n})")
     traceless = traceless_subspace(module)
-    blocks = _weight_blocks(module, module.generator_labels())
+    blocks = _weight_blocks(module)
     plain_terms = _symmetrizer_terms(mu)
     # combined slot permutations acting on whole words, with total signs
     terms = [(_slot_table(module, blocks, sp + tuple(m + s for s in pp)), ssign * psign)
@@ -433,18 +389,17 @@ class Filtration:
 
 
 class _WeightBlocks:
-    """Coordinate blocks of a module: the joint eigenspaces of diagonal
-    generators (i, i), given by the indices i and the weight of each basis
-    vector under them, in sorted weight order (one block when there are no
-    indices). As [x_ii, x_kl] = (d_il - d_ik) x_kl, the generator (k, l)
-    maps the block of weight w into that of weight w + e_l - e_k, and a
-    subspace invariant under the diagonal generators is the direct sum of
+    """Coordinate blocks of a module: the joint eigenspaces of the diagonal
+    generators (1, 1)..(N, N), given by the weight of each basis vector
+    under them, in sorted weight order (one block, of weight (), when each
+    weight is ()). As [x_ii, x_kl] = (d_il - d_ik) x_kl, the generator
+    (k, l) maps the block of weight w into that of weight w + e_l - e_k, and
+    a subspace invariant under the diagonal generators is the direct sum of
     its block parts; so kernels, socles and invariance checks run block by
     block in local coordinates.
     """
 
-    def __init__(self, indices: Iterable[int], weights: Sequence[tuple]):
-        self.indices = list(indices)
+    def __init__(self, weights: Sequence[tuple]):
         groups: dict[tuple, list[int]] = {}
         for pos, weight in enumerate(weights):
             groups.setdefault(weight, []).append(pos)
@@ -468,16 +423,13 @@ class _WeightBlocks:
         """
         found = self._targets.get(label)
         if found is None:
-            # the coordinates of k and l among the indices, where present
-            at = {i: c for c, i in enumerate(self.indices)}
-            k, l = at.get(label[0]), at.get(label[1])
+            k, l = label
             found = []
             for w in self.weights:
                 shifted = list(w)
-                if l is not None:
-                    shifted[l] += 1
-                if k is not None:
-                    shifted[k] -= 1
+                if shifted:  # the one block of weight () maps into itself
+                    shifted[l - 1] += 1
+                    shifted[k - 1] -= 1
                 found.append(self._number.get(tuple(shifted)))
             for j, col in module.action(label).cols.items():
                 if any(self.block_of[i] != found[self.block_of[j]] for i in col):
@@ -518,17 +470,13 @@ class _WeightBlocks:
                 for members, part in zip(self.positions, parts)]
 
 
-def _weight_blocks(module: ExplicitModule, labels: Iterable[GeneratorLabel]
-                   ) -> _WeightBlocks:
-    """The blocks of the module's weights under the algebra's diagonal
-    generators, made once per module and set of diagonal labels; one block
+def _weight_blocks(module: ExplicitModule) -> _WeightBlocks:
+    """The blocks of the module's weights, made once per module; one block
     when the module is ungraded."""
-    weights = module.weights
-    diagonal = () if weights is None else tuple(sorted({i for i, j in labels if i == j}))
-    blocks = module._derived.get(diagonal)
+    blocks = module._derived.get("blocks")
     if blocks is None:
-        blocks = module._derived[diagonal] = _WeightBlocks(diagonal, [
-            tuple(w[i - 1] for i in diagonal) for w in weights or [()] * module.dimension])
+        blocks = module._derived["blocks"] = _WeightBlocks(
+            [()] * module.dimension if module.weights is None else module.weights)
     return blocks
 
 
@@ -652,9 +600,32 @@ def socle_filtration_parabolic(module: ExplicitModule, para: ParabolicData) -> F
     the parabolic, so its joint kernel on each successive quotient is the
     socle of that quotient; the chain this produces is the socle filtration.
     """
-    blocks = _weight_blocks(module, para.labels)
+    blocks = _weight_blocks(module)
     return Filtration([Subspace.from_blocks(module.dimension, zip(blocks.positions, step))
                        for step in _socle_steps(module, para, blocks)[1:]])
+
+
+def submodule_layer_dimensions(filtration: Filtration, space: Subspace) -> list[int]:
+    """Layer dimensions of the socle filtration of a submodule Y, the
+    space, read off the socle filtration S_1 < S_2 < ... of the module.
+
+    For v in Y, n v lies in Y, so {v in Y : n v in Y cap S} = Y cap {v : n v
+    in S}, and the socle filtration of Y is Y cap S_k. Each dim (Y cap S_k) =
+    dim S_k + dim Y - dim (S_k + Y) is counted block by block, up to the
+    first step that holds Y. Raises when Y and the steps are not sums over
+    the same blocks.
+    """
+    dims = [0]
+    for step in filtration:
+        if dims[-1] == space.dim:
+            break
+        if step.blocks is None or step.blocks != space.blocks:
+            raise ValueError("subspace and filtration are not sums over the same blocks")
+        meets = (s.dim + y.dim - Subspace(s.ambient, chain(s.echelon.values(),
+                                                           y.echelon.values())).dim
+                 for s, y in zip(step.parts, space.parts))
+        dims.append(sum(meets))
+    return [upper - lower for lower, upper in zip(dims, dims[1:])]
 
 
 def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
@@ -663,7 +634,7 @@ def grade_filtration(module: ExplicitModule, para: ParabolicData) -> Filtration:
     """
     grades = [sum(1 for idx in word[:module.star_slots] if idx > para.b)
               for word in _require_words(module)]
-    blocks = _weight_blocks(module, para.labels)
+    blocks = _weight_blocks(module)
     return Filtration([
         Subspace.from_blocks(module.dimension, [
             (members, Subspace._of_echelon(len(members), {
@@ -702,26 +673,27 @@ def is_essential_filtration(module: ExplicitModule, filtration: Filtration, alge
     contains the socle, checked on each two-step quotient high/low of the
     chain (augmented with 0 at the bottom). The algebra is ParabolicData,
     whose nilradical n kills every simple module, so the socle of high/low
-    lifts to {v in high : n v in low}; or the zero algebra (no labels).
+    lifts to {v in high : n v in low}; or the zero algebra (no labels),
+    whose submodules are all subspaces, taken in one block.
 
     Each step is checked invariant under the simple labels of the parabolic
-    and the diagonal labels, on every block; a subspace that generators
-    keep is kept by the Lie algebra they generate, here the whole
-    parabolic. So each step is stable under GL(b) x GL(N-b), whose
+    and, on an ungraded module, the diagonal labels, on every block; a sum
+    of block parts is kept by the diagonal labels, and a subspace that
+    generators keep is kept by the Lie algebra they generate, here the
+    whole parabolic. So each step is stable under GL(b) x GL(N-b), whose
     permutation matrices act on words as P_sigma; so is each socle, as
     sigma keeps the nilradical labels. So the containment runs on the
     dominant blocks of _levi_orbits only.
     """
     if isinstance(algebra, ParabolicData):
-        labels, radical = algebra.labels, algebra.nilradical_labels
-        simple = algebra.simple_labels()
+        blocks, radical = _weight_blocks(module), algebra.nilradical_labels
+        moving = algebra.simple_labels()
+        if module.weights is None:
+            moving += [(i, j) for i, j in algebra.labels if i == j]
     elif not list(algebra):
-        labels = radical = simple = []
+        blocks, radical, moving = _WeightBlocks([()] * module.dimension), [], []
     else:
         raise ValueError("essentiality is decided over a parabolic or the zero algebra")
-    blocks = _weight_blocks(module, labels)
-    # a sum of block parts is invariant under the (i, i) that grade the blocks
-    moving = simple + [(i, j) for i, j in labels if i == j and i not in blocks.indices]
     chain = [blocks.zero()]
     for step in filtration:
         parts = blocks.split(step)
@@ -754,7 +726,7 @@ def constituent_count(module: ExplicitModule, para: ParabolicData) -> int:
     (i+1, i) span an sl2 with h = [e, f] = x_(i+1,i+1) - x_(i,i), and a
     vector that e kills has h-eigenvalue w_(i+1) - w_i >= 0.
     """
-    blocks = _weight_blocks(module, para.labels)
+    blocks = _weight_blocks(module)
     steps = _socle_steps(module, para, blocks)
     raising, chamber = para.levi_raising_labels(), _raising_chamber(para, blocks)
     return sum(_block_kernel(module, blocks, raising, b, low, high[b]).dim - low[b].dim

@@ -209,17 +209,19 @@ def socle_shadow_layer_dims(lam: Partition, n_rank: int, b: int) -> list[int]:
 
 
 def _socle_shadow(budget: int, seed: int) -> Outcomes:
+    """The socle filtration of the Young image S_lam(C^N*) in (C^N*)^(x)m,
+    read off the socle filtration of the whole tensor power."""
     for n_rank, b in SOCLE_SHADOW_GRID:
         para = brute.parabolic(n_rank, b)
-        for lam in partitions_up_to(min(b, n_rank - b)):
-            module = brute.build_tensor_module(n_rank, lam.size, 0, budget)
-            projected = brute.young_project(module, lam, EMPTY)
-            schur_module = brute.restrict_module(module, projected)
-            filtration = brute.socle_filtration_parabolic(schur_module, para)
-            got = filtration.layer_dimensions()
-            expected = socle_shadow_layer_dims(lam, n_rank, b)
-            yield (None if got == expected
-                   else f"N={n_rank}, b={b}, lambda={lam}: {got} != {expected}")
+        for m in range(min(b, n_rank - b) + 1):
+            module = brute.build_tensor_module(n_rank, m, 0, budget)
+            filtration = brute.socle_filtration_parabolic(module, para)
+            for lam in partitions_of(m):
+                got = brute.submodule_layer_dimensions(
+                    filtration, brute.young_project(module, lam, EMPTY))
+                expected = socle_shadow_layer_dims(lam, n_rank, b)
+                yield (None if got == expected
+                       else f"N={n_rank}, b={b}, lambda={lam}: {got} != {expected}")
 
 
 def _essentiality(budget: int, seed: int) -> Outcomes:
@@ -235,6 +237,15 @@ def _essentiality(budget: int, seed: int) -> Outcomes:
                                         full_space(module.dimension)])
                 yield (f"[Sym^2, whole] N={n_rank}, b={b} reported essential"
                        if brute.is_essential_filtration(module, bad, para) else None)
+                # negative case: only the Levi lowering labels (i, 1) move e1* (x) e1*
+                line = Subspace(module.dimension, [{module.labels.index((1, 1)): 1}])
+                try:
+                    brute.is_essential_filtration(
+                        module, brute.Filtration([line, full_space(module.dimension)]), para)
+                except ValueError:
+                    yield None
+                else:
+                    yield f"[e1*(x)e1*, whole] N={n_rank}, b={b} not refused as non-invariant"
     # designed negative case: a line inside trivial + trivial over the
     # zero algebra is not essential (the socle is everything)
     rng = random.Random(seed + 2)

@@ -13,7 +13,6 @@ from mackey.brute import (
     grade_filtration,
     is_essential_filtration,
     parabolic,
-    restrict_module,
     socle_filtration_parabolic,
     traceless_dimension,
     traceless_subspace,
@@ -30,7 +29,7 @@ from mackey.linalg import (
     unit_vec,
     vec,
 )
-from mackey.partitions import EMPTY, Partition, partitions_up_to
+from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from mackey.socle import tensor_length
 from mackey.verify import SOCLE_SHADOW_GRID, socle_shadow_layer_dims
 
@@ -186,7 +185,7 @@ def test_word_modules_hold_integer_matrices():
     # the action entries are -1, 0 and 1, and reach the integer kernel as ints
     for n_rank, m, n in [(3, 2, 0), (3, 1, 2), (2, 2, 2)]:
         module = build_tensor_module(n_rank, m, n)
-        blocks = _weight_blocks(module, module.generator_labels())
+        blocks = _weight_blocks(module)
         for label in module.generator_labels():
             mat = module.action(label)
             assert all(type(x) is int for col in mat.cols.values()
@@ -223,7 +222,7 @@ def traceless_dimension_over_every_block(module):
     orbit."""
     m, n = module.star_slots, module.plain_slots
     return sum(len(members) - rank(brute._contraction_rows(module.labels, m, n, members))
-               for members in _weight_blocks(module, module.generator_labels()).positions)
+               for members in _weight_blocks(module).positions)
 
 
 def test_traceless_dimension_matches_subspace():
@@ -337,9 +336,15 @@ def test_socle_filtration_schur_square():
     # S_(2)(C^5*) against the parabolic at b=3: layers 6, 6, 3
     module = build_tensor_module(5, 2, 0)
     projected = young_project(module, P([2]), EMPTY)
-    schur_module = restrict_module(module, projected)
-    filtration = socle_filtration_parabolic(schur_module, parabolic(5, 3))
-    assert filtration.layer_dimensions() == [6, 6, 3]
+    filtration = socle_filtration_parabolic(module, parabolic(5, 3))
+    assert brute.submodule_layer_dimensions(filtration, projected) == [6, 6, 3]
+
+
+def test_submodule_layers_need_sums_over_the_same_blocks():
+    module = build_tensor_module(3, 1, 0)
+    filtration = socle_filtration_parabolic(module, parabolic(3, 1))
+    with pytest.raises(ValueError, match="same blocks"):
+        brute.submodule_layer_dimensions(filtration, Subspace(3, [unit_vec(3, 0)]))
 
 
 def test_socle_filtration_steps_are_parabolic_invariant():
@@ -393,15 +398,25 @@ def test_trivial_sum_line_is_not_essential():
     line = Subspace(2, [vec([1, 2])])
     full = Subspace(2, [unit_vec(2, 0), unit_vec(2, 1)])
     assert not is_essential_filtration(module, Filtration([line, full]), [])
+    # over the zero algebra every subspace is a submodule, also a line of a
+    # word module that is no sum of weight vectors: the module is one block
+    crooked = Subspace(2, [vec([1, 1])])
+    assert not is_essential_filtration(build_tensor_module(2, 1, 0),
+                                       Filtration([crooked, full]), [])
 
 
 def test_essentiality_rejects_non_invariant_filtration():
     module = build_tensor_module(2, 1, 0)
     p = parabolic(2, 1)
-    crooked = Subspace(2, [vec([1, 1])])  # moved by the nilradical
     full = Subspace(2, [unit_vec(2, 0), unit_vec(2, 1)])
-    with pytest.raises(ValueError):
+    # the crooked line is not a sum of weight vectors
+    crooked = Subspace(2, [vec([1, 1])])
+    with pytest.raises(ValueError, match="moved by a diagonal generator"):
         is_essential_filtration(module, Filtration([crooked, full]), p)
+    # span{e2*} is a weight line, but (1, 2) sends e2* to -e1*
+    line = Subspace(2, [unit_vec(2, 1)])
+    with pytest.raises(ValueError, match="not action-invariant"):
+        is_essential_filtration(module, Filtration([line, full]), p)
 
 
 def test_essentiality_rejects_truncated_filtration():
@@ -438,49 +453,31 @@ def test_grade_filtration_meets_traceless():
 
 # --- weight blocks ----------------------------------------------------------
 
-def weight_dims(module, labels):
-    blocks = _weight_blocks(module, labels)
+def weight_dims(module):
+    blocks = _weight_blocks(module)
     return {weight: len(members) for weight, members in zip(blocks.weights, blocks.positions)}
 
 
 def test_weight_decompose_dual_vector_module():
     module = build_tensor_module(2, 1, 0)
-    assert weight_dims(module, [(1, 1), (2, 2)]) == {(-1, 0): 1, (0, -1): 1}
+    assert weight_dims(module) == {(-1, 0): 1, (0, -1): 1}
 
 
 def test_weight_decompose_square():
     module = build_tensor_module(2, 2, 0)
-    dims = weight_dims(module, [(1, 1), (2, 2)])
+    dims = weight_dims(module)
     assert dims == {(-2, 0): 1, (-1, -1): 2, (0, -2): 1}
     assert sum(dims.values()) == module.dimension
 
 
 def test_weight_decompose_traceless_adjoint():
     module = build_tensor_module(3, 1, 1)
-    sub = restrict_module(module, traceless_subspace(module))
-    assert weight_dims(sub, [(1, 1), (2, 2), (3, 3)])[(0, 0, 0)] == 2
+    blocks = _weight_blocks(module)
+    parts = blocks.split(traceless_subspace(module))
+    assert parts[blocks.weights.index((0, 0, 0))].dim == 2
 
 
-def test_weight_decompose_rejects_non_diagonal():
-    # a label off the diagonal does not grade: the module stays one block
-    module = build_tensor_module(2, 1, 0)
-    blocks = _weight_blocks(module, [(1, 2)])
-    assert blocks.indices == [] and blocks.positions == [[0, 1]]
-
-
-# --- restriction, quotients, counting ---------------------------------------
-
-def test_restrict_module_rejects_non_invariant_subspace():
-    module = build_tensor_module(2, 1, 0)
-    # the crooked line is not a sum of weight vectors
-    with pytest.raises(ValueError, match="moved by a diagonal generator"):
-        restrict_module(module, Subspace(2, [vec([1, 1])]))
-    # span{e2*} is a weight line, but (1, 2) sends e2* to -e1*
-    line = restrict_module(module, Subspace(2, [unit_vec(2, 1)]))
-    assert line.action((2, 2)) == SparseMatrix(1, {0: {0: F(-1)}})
-    with pytest.raises(ValueError, match=r"not invariant under generator \(1, 2\)"):
-        line.action((1, 2))
-
+# --- quotients, counting ------------------------------------------------------
 
 def test_constituent_count_matches_length_formula():
     assert constituent_count(build_tensor_module(6, 2, 0), parabolic(6, 3)) == 6
@@ -696,13 +693,42 @@ def test_graded_engine_matches_dense_on_the_socle_grid():
             assert_graded_matches_dense(module, para, extra)
 
 
+def young_layers_against_dense(n_rank, b, m):
+    """The socle layers of each Young image Y of (C^N*)^(x)m counted inside
+    the word module, each asserted equal to those of the dense restriction
+    to Y, with the number of socle steps of the whole module."""
+    module, para = build_tensor_module(n_rank, m, 0), parabolic(n_rank, b)
+    filtration = socle_filtration_parabolic(module, para)
+    found = {}
+    for lam in partitions_of(m):
+        space = young_project(module, lam, EMPTY)
+        layers = brute.submodule_layer_dimensions(filtration, space)
+        dense = dense_socle_filtration(dense_restrict(module, space), para)
+        assert layers == dense.layer_dimensions(), (n_rank, b, lam)
+        found[lam] = layers
+    return found, len(filtration.steps)
+
+
 def test_graded_engine_matches_dense_on_young_images():
+    cases = 0
     for n_rank, b in SOCLE_SHADOW_GRID:
-        para = parabolic(n_rank, b)
-        for lam in partitions_up_to(min(b, n_rank - b)):
-            module = build_tensor_module(n_rank, lam.size, 0)
-            schur = restrict_module(module, young_project(module, lam, EMPTY))
-            assert_graded_matches_dense(schur, para)
+        for m in range(min(b, n_rank - b) + 1):
+            found, _ = young_layers_against_dense(n_rank, b, m)
+            cases += len(found)
+    assert cases == 19
+
+
+def test_young_image_layers_outside_the_stable_range_match_the_dense_ones():
+    # past m <= min(b, N - b) a Young image can fill before the last socle
+    # step of the whole module, and its socle filtration is shorter
+    shorter = 0
+    for n_rank, b, m in [(3, 1, 2), (4, 1, 3), (5, 1, 3), (5, 2, 3), (6, 1, 3), (6, 2, 3),
+                         (4, 3, 3), (5, 4, 2)]:
+        found, steps = young_layers_against_dense(n_rank, b, m)
+        shorter += sum(len(layers) < steps for layers in found.values())
+        if (n_rank, b, m) == (4, 1, 3):
+            assert found[P([1, 1, 1])] == [3, 1]
+    assert shorter > 0
 
 
 def test_graded_engine_matches_dense_on_a_mixed_module():
@@ -751,32 +777,17 @@ def test_generator_that_breaks_the_grading_is_rejected():
 
 # --- the word-module bypasses against the paths they bypass --------------------
 
-def assert_weights_are_the_diagonals(module):
-    """The weights the module carries are the eigenvalues of its (i, i)."""
-    for i in range(1, module.rank_n + 1):
-        assert diagonal(module.action((i, i))) == [w[i - 1] for w in module.weights], i
-
-
 def test_weights_read_off_the_words_match_the_diagonal_matrices():
     cases = [(n_rank, m, n) for n_rank in range(1, 5) for m in range(4)
              for n in range(4 - m)] + [(8, 1, 2)]
     for n_rank, m, n in cases:
         module = build_tensor_module(n_rank, m, n)
-        assert_weights_are_the_diagonals(module)
-        diagonals = {i: diagonal(module.action((i, i))) for i in range(1, n_rank + 1)}
-        for labels in [module.generator_labels(), [(n_rank, n_rank), (1, 1), (1, n_rank)]]:
-            indices = sorted({i for i, j in labels if i == j})
-            read = _WeightBlocks(indices, [tuple(diagonals[i][pos] for i in indices)
-                                           for pos in range(module.dimension)])
-            blocks = _weight_blocks(module, labels)
-            assert blocks.indices == read.indices, (n_rank, m, n)
-            assert blocks.weights == read.weights, (n_rank, m, n)
-            assert blocks.positions == read.positions, (n_rank, m, n)
-    # restricted modules inherit the weights of their parents' blocks
-    module = build_tensor_module(4, 1, 2)
-    for space in [traceless_subspace(module), young_project(module, P([1]), P([2])),
-                  young_project(module, P([1]), P([1, 1]))]:
-        assert_weights_are_the_diagonals(restrict_module(module, space))
+        diagonals = [diagonal(module.action((i, i))) for i in range(1, n_rank + 1)]
+        # the weights the module carries are the eigenvalues of its (i, i)
+        assert [list(w) for w in module.weights] == [list(d) for d in zip(*diagonals)]
+        read, blocks = _WeightBlocks(list(zip(*diagonals))), _weight_blocks(module)
+        assert blocks.weights == read.weights, (n_rank, m, n)
+        assert blocks.positions == read.positions, (n_rank, m, n)
 
 
 def test_word_modules_are_graded_without_diagonal_matrices():
@@ -785,7 +796,7 @@ def test_word_modules_are_graded_without_diagonal_matrices():
     socle_filtration_parabolic(module, para)
     grade_filtration(module, para)
     young_project(module, P([1, 1]), P([1]))
-    _weight_blocks(module, [(1, 1), (3, 3)])
+    _weight_blocks(module)
     assert module._cache and not [label for label in module._cache if label[0] == label[1]]
 
 
@@ -849,55 +860,17 @@ def test_essentiality_needs_a_parabolic_or_the_zero_algebra():
         is_essential_filtration(module, Filtration([full]), [(1, 2)])
 
 
-# --- graded restriction against the dense one ----------------------------------
-
-def restriction_cases():
-    """The Young images of the socle grid and of the mixed modules with
-    N <= 4 and m + n <= 3, and the traceless subspaces of (3, 1, 1) and
-    (4, 1, 1), each with its module."""
-    for n_rank, b in SOCLE_SHADOW_GRID:
-        for lam in partitions_up_to(min(b, n_rank - b)):
-            module = build_tensor_module(n_rank, lam.size, 0)
-            yield module, young_project(module, lam, EMPTY)
-    for n_rank in range(1, 5):
-        for lam in partitions_up_to(3):
-            for mu in partitions_up_to(3 - lam.size):
-                if len(lam) + len(mu) <= n_rank:
-                    module = build_tensor_module(n_rank, lam.size, mu.size)
-                    yield module, young_project(module, lam, mu)
-    for n_rank in (3, 4):
-        module = build_tensor_module(n_rank, 1, 1)
-        yield module, traceless_subspace(module)
-
-
-def test_graded_restriction_matches_the_dense_one():
-    cases = 0
-    for module, space in restriction_cases():
-        graded, dense = restrict_module(module, space), dense_restrict(module, space)
-        assert graded.dimension == dense.dimension == space.dim
-        for label in module.generator_labels():
-            assert graded.action(label) == dense.action(label), (module, space, label)
-        assert_weights_are_the_diagonals(graded)
-        cases += 1
-    assert cases == 19 + 57 + 2
-
-
-def test_restriction_of_an_ungraded_module_is_ungraded():
-    line = restrict_module(zero_module(2), Subspace(2, [vec([1, 2])]))
-    assert line.weights is None and line.dimension == 1
-    assert line.action((1, 1)) == SparseMatrix(1)
-
-
 def test_degree_four_schur_shadow_at_the_stable_bound():
     # m = |lambda| = 4 = min(b, N - b): the largest degree the shadow at
     # (8, 4) can check
-    lam, para = P([2, 2]), parabolic(8, 4)
-    module = build_tensor_module(8, 4, 0)
-    schur = restrict_module(module, young_project(module, lam, EMPTY))
-    filtration = socle_filtration_parabolic(schur, para)
-    assert filtration.layer_dimensions() == socle_shadow_layer_dims(lam, 8, 4)
-    # the restricted module carries its weights, so no (i, i) is built on it
-    assert schur._cache and not [label for label in schur._cache if label[0] == label[1]]
+    module, para = build_tensor_module(8, 4, 0), parabolic(8, 4)
+    filtration = socle_filtration_parabolic(module, para)
+    for lam in partitions_of(4):
+        space = young_project(module, lam, EMPTY)
+        assert (brute.submodule_layer_dimensions(filtration, space)
+                == socle_shadow_layer_dims(lam, 8, 4)), lam
+    # the word module carries its weights, so no (i, i) is built on it
+    assert module._cache and not [label for label in module._cache if label[0] == label[1]]
 
 
 # --- socle steps by Levi orbit against every block ---------------------------
@@ -942,14 +915,14 @@ def kernel_blocks(module, para):
     """The socle steps of the module, and the blocks the nilradical kernel
     ran on to find them."""
     steps, seen = recorded_kernel_blocks(
-        lambda: brute._socle_steps(module, para, _weight_blocks(module, para.labels)))
+        lambda: brute._socle_steps(module, para, _weight_blocks(module)))
     return steps, seen.get(tuple(para.nilradical_labels), set())
 
 
 def test_socle_steps_by_orbit_equal_the_kernel_over_every_block():
     cases = 0
     for module, para in orbit_cases():
-        blocks = _weight_blocks(module, para.labels)
+        blocks = _weight_blocks(module)
         steps, seen = kernel_blocks(module, para)
         assert seen == {b for b, (d, _) in enumerate(brute._levi_orbits(module, para, blocks))
                         if d == b}
@@ -963,7 +936,7 @@ def test_socle_steps_by_orbit_equal_the_kernel_over_every_block():
 def test_dominant_blocks_are_the_weights_sorted_within_each_levi_block():
     for n_rank, b, m, dominant in [(7, 3, 3, 10), (8, 4, 4, 20)]:
         module, para = build_tensor_module(n_rank, m, 0), parabolic(n_rank, b)
-        blocks = _weight_blocks(module, para.labels)
+        blocks = _weight_blocks(module)
         orbits = brute._levi_orbits(module, para, blocks)
         kept = [blocks.weights[d] for d, table in orbits if table is None]
         assert len(kept) == dominant
@@ -972,13 +945,15 @@ def test_dominant_blocks_are_the_weights_sorted_within_each_levi_block():
 
 
 def test_a_module_without_words_runs_the_kernel_on_every_block():
-    module, para = build_tensor_module(6, 3, 0), parabolic(6, 3)
-    schur = restrict_module(module, young_project(module, P([2, 1]), EMPTY))
-    blocks = _weight_blocks(schur, para.labels)
-    steps, seen = kernel_blocks(schur, para)
+    word, para = build_tensor_module(6, 3, 0), parabolic(6, 3)
+    # the word module's builder and weights, without its words
+    module = ExplicitModule(word.dimension, 6, word.action, weights=word.weights)
+    blocks = _weight_blocks(module)
+    steps, seen = kernel_blocks(module, para)
     assert len(blocks.positions) > 1 and seen == set(range(len(blocks.positions)))
     for low, step in zip(steps, steps[1:]):
-        assert step == kernel_over_every_block(schur, blocks, para.nilradical_labels, low)
+        assert step == kernel_over_every_block(module, blocks, para.nilradical_labels, low)
+    assert steps == brute._socle_steps(word, para, _weight_blocks(word))
 
 
 # --- counts and essentiality on chosen blocks against every block ---------------
@@ -1026,7 +1001,7 @@ def test_counts_and_essentiality_on_chosen_blocks_equal_every_block():
 def test_raising_kernels_outside_the_ascending_chamber_are_low():
     skipped = 0
     for module, para in orbit_cases():
-        blocks = _weight_blocks(module, para.labels)
+        blocks = _weight_blocks(module)
         chamber = brute._raising_chamber(para, blocks)
         # w_k <= w_(k+1) for k = 1..N-1 but b, with w_k at w[k - 1]
         assert chamber == [c for c, w in enumerate(blocks.weights)
@@ -1042,7 +1017,7 @@ def test_raising_kernels_outside_the_ascending_chamber_are_low():
 
 def test_essentiality_runs_the_kernel_on_the_dominant_blocks_only():
     module, para = build_tensor_module(8, 4, 0), parabolic(8, 4)
-    blocks = _weight_blocks(module, para.labels)
+    blocks = _weight_blocks(module)
     socle_filtration_parabolic(module, para)
     essential, seen = recorded_kernel_blocks(
         lambda: is_essential_filtration(module, grade_filtration(module, para), para))
@@ -1055,7 +1030,7 @@ def test_essentiality_runs_the_kernel_on_the_dominant_blocks_only():
 def test_an_ungraded_module_keeps_its_one_block():
     module, para = build_tensor_module(4, 2, 0), parabolic(4, 2)
     ungraded = ExplicitModule(module.dimension, 4, module.action)
-    blocks = _weight_blocks(ungraded, para.labels)
+    blocks = _weight_blocks(ungraded)
     assert brute._raising_chamber(para, blocks) == [0]
     assert brute._dominant_blocks(ungraded, para, blocks) == [0]
     assert constituent_count(ungraded, para) == constituent_count(module, para)

@@ -98,6 +98,18 @@ def simple_labels_without_lowering(para):
     return [(i, i + 1) for i in range(1, para.n_rank)]
 
 
+def layer_count_without_stop():
+    """submodule_layer_dimensions that counts on past the first step that
+    holds the submodule: one layer 0 for each further step."""
+    real = brute.submodule_layer_dimensions
+
+    def counted(filtration, space):
+        layers = real(filtration, space)
+        return layers + [0] * (len(filtration.steps) - len(layers))
+
+    return counted
+
+
 def plain_sign_flipped(n_rank, m, n, weights, label):
     """_word_action with the sign of the plain slots flipped: e_i -> -e_j."""
     i, j = label
@@ -146,11 +158,15 @@ MUTANTS = [
     # essentiality over a parabolic that checks no socle containment
     ("essential_containment_skipped", brute, "_dominant_blocks",
      lambda: lambda module, para, blocks: [], {"grade filtration essentiality"}, None),
-    # escapes verify, whose filtrations are all invariant: a step that only a
-    # lowering label moves passes the check
+    # the negative case [e1* (x) e1*, whole], which only the lowering labels
+    # (i, 1) move, is no longer refused
     ("simple_labels_without_lowering", brute.ParabolicData, "simple_labels",
-     lambda: simple_labels_without_lowering, set(),
-     test_brute.test_invariance_on_the_simple_labels_agrees_with_every_label),
+     lambda: simple_labels_without_lowering, {"grade filtration essentiality"}, None),
+    # escapes verify, whose shadows lie in the stable range: there each Young
+    # image first fills at the last socle step of its tensor power
+    ("layer_count_without_stop", brute, "submodule_layer_dimensions",
+     layer_count_without_stop, set(),
+     test_brute.test_young_image_layers_outside_the_stable_range_match_the_dense_ones),
     # escapes verify, which builds the action of no module with plain slots
     ("plain_slot_sign_flipped", brute, "_word_action", lambda: plain_sign_flipped, set(),
      test_brute.test_arithmetic_builder_matches_the_word_by_word_one),
