@@ -477,6 +477,23 @@ def test_weight_decompose_traceless_adjoint():
     assert parts[blocks.weights.index((0, 0, 0))].dim == 2
 
 
+def test_restrict_module_rejects_non_invariant_subspace():
+    # restriction to a subspace now runs on its weight-block parts: the
+    # split refuses what no diagonal generator keeps, the invariance check
+    # what an off-diagonal one moves
+    module = build_tensor_module(2, 1, 0)
+    blocks = _weight_blocks(module)
+    # the crooked line is not a sum of weight vectors
+    with pytest.raises(ValueError, match="moved by a diagonal generator"):
+        blocks.split(Subspace(2, [vec([1, 1])]))
+    # span{e2*} is a weight line, but (1, 2) sends e2* to -e1*
+    parts = blocks.split(Subspace(2, [unit_vec(2, 1)]))
+    assert sorted(part.dim for part in parts) == [0, 1]
+    assert brute._is_invariant(module, blocks, (2, 2), parts)
+    assert brute._is_invariant(module, blocks, (2, 1), parts)
+    assert not brute._is_invariant(module, blocks, (1, 2), parts)
+
+
 # --- quotients, counting ------------------------------------------------------
 
 def test_constituent_count_matches_length_formula():
