@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, permutations, product
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     SparseMatrix,
@@ -86,10 +86,6 @@ class ExplicitModule:
             mat = self._builder(label)
             self._cache[label] = mat
         return mat
-
-    def generator_labels(self) -> list[GeneratorLabel]:
-        n = self.rank_n
-        return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
     def __repr__(self) -> str:
         return f"ExplicitModule(dim={self.dimension}, rank={self.rank_n})"
@@ -190,9 +186,14 @@ def _contraction_rows(words: Sequence[tuple[int, ...]], m: int, n: int,
             for key in sorted(rows)]
 
 
-def _kernel_space(rows: Sequence, size: int) -> Subspace:
-    """The joint kernel of the functionals on Q^size, as a subspace."""
-    return Subspace(size, nullspace(rows, size)) if rows else full_space(size)
+def _kernel_space(rows: Iterable, size: int) -> Subspace:
+    """The joint kernel of the functionals on Q^size, as a subspace. They
+    may come lazily: nullspace reads them only until they span the dual."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return full_space(size)
+    return Subspace(size, nullspace(chain([first], rows), size))
 
 
 def traceless_subspace(module: ExplicitModule) -> Subspace:
@@ -419,7 +420,9 @@ class _WeightBlocks:
     def targets(self, module: ExplicitModule, label: GeneratorLabel) -> list[int | None]:
         """For each block, the block the generator maps it into (None when
         that weight does not occur and the generator must kill the block).
-        Raises, once per label, when the action breaks the grading.
+        Raises, once per label, when the action breaks the grading: on the
+        first call for it, which a kernel makes only when it reads that
+        label's functionals.
         """
         found = self._targets.get(label)
         if found is None:
@@ -513,18 +516,26 @@ def _block_kernel(module: ExplicitModule, blocks: _WeightBlocks,
     of the labels}, upper the part of high in b, or None when high is the
     whole module. Low must lie in high and be invariant under the labels,
     so a block where low fills high is done.
+
+    The functionals are made one label at a time, as the kernel reads them:
+    the cut of upper first, then the invariance rows of each label's slice.
+    Once they span the dual no later slice is built or grading-checked.
     """
     members = blocks.positions[b]
     size = len(members)
     if low[b].dim == (size if upper is None else upper.dim):
         return low[b]
-    rows = [] if upper is None else _invariance_rows([{k: 1} for k in range(size)], upper)
-    for label in labels:
-        u = blocks.targets(module, label)[b]
-        if u is not None and low[u].dim < len(blocks.positions[u]):
-            dense = module.action(label).to_dense_rows(blocks.positions[u], members)
-            rows.extend(_invariance_rows(integer_rows(dense), low[u]))
-    return _kernel_space(rows, size)
+
+    def functionals():
+        if upper is not None:
+            yield from _invariance_rows([{k: 1} for k in range(size)], upper)
+        for label in labels:
+            u = blocks.targets(module, label)[b]
+            if u is not None and low[u].dim < len(blocks.positions[u]):
+                dense = module.action(label).to_dense_rows(blocks.positions[u], members)
+                yield from _invariance_rows(integer_rows(dense), low[u])
+
+    return _kernel_space(functionals(), size)
 
 
 def _levi_orbits(module: ExplicitModule, para: ParabolicData, blocks: _WeightBlocks
@@ -534,22 +545,25 @@ def _levi_orbits(module: ExplicitModule, para: ParabolicData, blocks: _WeightBlo
     each local position of d to the local position of the sigma-moved word;
     the table is None on a dominant block, whose weight descends within
     1..b and within b+1..N. A module without a word basis has trivial
-    orbits: every block is dominant.
+    orbits: every block is dominant. Made once per module and b.
     """
-    if module.labels is None:
-        return [(b, None) for b in range(len(blocks.positions))]
-    index, local = _word_index(module), blocks.local
-    orbits = []
-    for b, weight in enumerate(blocks.weights):
-        # sigma sends the k-th index of each Levi block to the index holding
-        # the k-th largest weight there; sigma[0] pads the letters 1..N
-        sigma = [0]
-        for levi in (range(1, para.b + 1), range(para.b + 1, para.n_rank + 1)):
-            sigma += sorted(levi, key=lambda i: -weight[i - 1])
-        d = blocks._number[tuple(weight[i - 1] for i in sigma[1:])]
-        orbits.append((b, None) if d == b else (d, [
-            local[index[tuple(sigma[i] for i in module.labels[pos])]]
-            for pos in blocks.positions[d]]))
+    key = ("orbits", para.b)
+    orbits = module._derived.get(key)
+    if orbits is None:
+        orbits = [(b, None) for b in range(len(blocks.positions))]
+        if module.labels is not None:
+            index, local = _word_index(module), blocks.local
+            for b, weight in enumerate(blocks.weights):
+                # sigma sends the k-th index of each Levi block to the index
+                # holding the k-th largest weight there; sigma[0] pads 1..N
+                sigma = [0]
+                for levi in (range(1, para.b + 1), range(para.b + 1, para.n_rank + 1)):
+                    sigma += sorted(levi, key=lambda i: -weight[i - 1])
+                d = blocks._number[tuple(weight[i - 1] for i in sigma[1:])]
+                if d != b:
+                    orbits[b] = (d, [local[index[tuple(sigma[i] for i in module.labels[pos])]]
+                                     for pos in blocks.positions[d]])
+        module._derived[key] = orbits
     return orbits
 
 

@@ -6,13 +6,16 @@ positive, combined as a*r - c*e in integers (fraction-free elimination,
 after Bareiss). An echelon of such rows is kept fully reduced and keyed by
 pivot. The reduced echelon form of a span is unique, so its primitive rows
 are too, and dividing each by its pivot gives the reduced row-echelon basis
-of Fractions. A Subspace holds the integer echelon and densifies its basis
-only when the basis is read; rref and nullspace take and return dense
-Fraction rows. Action matrices of tensor modules are column-sparse (a
-matrix unit moves a basis word to at most one other word per tensor slot),
-so those get a small sparse type of their own. Its entries are exact and
-kept as given: the integer matrices of word modules hold ints, which reach
-the kernel without conversion.
+of Fractions. Rows may come lazily, from any iterable: the elimination
+stops reading them once it holds as many pivots as there are columns, since
+a full-rank reduced echelon is the identity and no further row changes it.
+A Subspace holds the integer echelon and densifies its basis only when the
+basis is read; rref and nullspace take and return dense Fraction rows.
+Action matrices of tensor modules are column-sparse (a matrix unit moves a
+basis word to at most one other word per tensor slot), so those get a small
+sparse type of their own. Its entries are exact and kept as given: the
+integer matrices of word modules hold ints, which reach the kernel without
+conversion.
 
 No floating point anywhere: ranks and kernels here feed socle and
 essentiality decisions, which are meaningless under rounding.
@@ -29,6 +32,7 @@ Row = dict[int, int]  # a sparse integer row {column: nonzero entry}
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_INT = {int}
 
 
 def zero_vec(n: int) -> Vec:
@@ -90,37 +94,44 @@ def _eliminate(row: Row, e: Row, p: int) -> None:
 
 
 def _reduce(echelon: dict[int, Row], row: Row) -> Row:
-    """A positive multiple of the residual of row modulo the echelon rows:
-    no entry at any pivot, and empty iff row lies in their span."""
-    hits = [p for p in row if p in echelon]
-    if hits:
-        row = dict(row)
-        for p in hits:
-            _eliminate(row, echelon[p], p)
+    """Reduce the integer row in place to a positive multiple of its residual
+    modulo the echelon rows, and return it: no entry at any pivot, and empty
+    iff the row lay in their span."""
+    for p in [p for p in row if p in echelon]:
+        _eliminate(row, echelon[p], p)
     return row
 
 
 def _insert(echelon: dict[int, Row], row: Row) -> None:
-    """Add the integer row to the span of the echelon, keeping every row
-    primitive with a positive pivot and fully reduced."""
-    row = _reduce(echelon, row)
+    """Add the integer row, which the echelon takes over and may change, to
+    the span of the echelon, keeping every row primitive with a positive
+    pivot and fully reduced."""
+    _reduce(echelon, row)
     if not row:
         return
     row = _primitive(row)
     lead = min(row)
     for p, e in echelon.items():
         if lead in e:
-            e = dict(e)
             _eliminate(e, row, lead)
             echelon[p] = _primitive(e)
     echelon[lead] = row
 
 
-def _echelon(rows: Iterable[Sequence | dict]) -> dict[int, Row]:
-    """The primitive reduced echelon rows of the span, keyed by pivot."""
+def _echelon(rows: Iterable[Sequence | dict], ncols: int) -> dict[int, Row]:
+    """The primitive reduced echelon rows of the span of rows on ncols
+    columns, keyed by pivot. No row is read after the echelon holds ncols
+    pivots."""
     echelon: dict[int, Row] = {}
-    for row in rows:
-        _insert(echelon, integer_rows([row])[0])
+    for row in rows if ncols else ():
+        # a fresh sparse row, scaled to integers only when it holds a non-int
+        sparse = {k: x for k, x in (row.items() if type(row) is dict else enumerate(row))
+                  if x is not ZERO and x}
+        if not _INT.issuperset(map(type, sparse.values())):
+            sparse = integer_rows([sparse])[0]
+        _insert(echelon, sparse)
+        if len(echelon) == ncols:
+            break
     return echelon
 
 
@@ -136,9 +147,10 @@ def _dense(row: Row, pivot: int, n: int) -> Vec:
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
     rows = list(rows)
-    echelon = _echelon(rows)
+    ncols = len(rows[0]) if rows else 0
+    echelon = _echelon(rows, ncols)
     pivots = sorted(echelon)
-    return [_dense(echelon[p], p, len(rows[0])) for p in pivots], pivots
+    return [_dense(echelon[p], p, ncols) for p in pivots], pivots
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -149,7 +161,7 @@ def nullspace(rows: Iterable[Sequence | dict], ncols: int) -> list[Vec]:
     """Basis of {x : R x = 0} where the rows of R are the given functionals,
     dense or as dicts {column: value}: one vector per free column j, with
     1 at j and minus the reduced echelon entries of column j at the pivots."""
-    echelon = _echelon(rows)
+    echelon = _echelon(rows, ncols)
     basis = {j: unit_vec(ncols, j) for j in range(ncols) if j not in echelon}
     for p, e in echelon.items():
         d = e[p]
@@ -169,7 +181,7 @@ class Subspace:
     def __init__(self, ambient: int, vectors: Iterable[Sequence | dict] = ()):
         """The span of the vectors, each dense or a dict {column: value}."""
         self.ambient = ambient
-        self._echelon = _echelon(vectors)
+        self._echelon = _echelon(vectors, ambient)
         self.pivots = sorted(self._echelon)
         self._basis = self.blocks = self.parts = None
 
@@ -230,16 +242,7 @@ class Subspace:
         if self.blocks is not None and other.blocks == self.blocks:
             return all(a.contains_subspace(b) for a, b in zip(self.parts, other.parts))
         echelon = self.echelon
-        return not any(_reduce(echelon, row) for row in other.echelon.values())
-
-    def coordinates(self, v: Sequence | dict) -> list:
-        """Coefficients in this basis of v, dense or a dict {column: value}
-        (where a missing column reads 0); raises if v is not a member."""
-        if not self.contains(v):
-            raise ValueError("vector not in subspace")
-        if type(v) is dict:
-            return [v.get(p, 0) for p in self.pivots]
-        return [v[p] for p in self.pivots]
+        return not any(_reduce(echelon, dict(row)) for row in other.echelon.values())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
@@ -272,35 +275,12 @@ class SparseMatrix:
                     self.cols[j] = clean
 
     @classmethod
-    def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, int | Fraction]]
-                     ) -> "SparseMatrix":
-        """Build from (row, col, value) triples, summing duplicates."""
-        cols: dict[int, dict[int, int | Fraction]] = {}
-        for i, j, v in entries:
-            col = cols.setdefault(j, {})
-            col[i] = col[i] + v if i in col else v
-        return cls(dim, cols)
-
-    @classmethod
     def _of_cols(cls, dim: int, cols: dict[int, dict[int, int | Fraction]]) -> "SparseMatrix":
         """The matrix of columns that already hold only nonzero ints or
         Fractions, taken as they are."""
         mat = cls.__new__(cls)
         mat.dim, mat.cols = dim, cols
         return mat
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "SparseMatrix":
-        return cls(len(values), {j: {j: v} for j, v in enumerate(values)})
-
-    def apply(self, v: Sequence[Fraction]) -> Vec:
-        out = zero_vec(self.dim)
-        for j, col in self.cols.items():
-            x = v[j]
-            if x:
-                for i, m in col.items():
-                    out[i] += m * x
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix) or self.dim != other.dim:

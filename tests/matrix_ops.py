@@ -1,6 +1,8 @@
 """Linear algebra that only the tests need: products, sums and scalar
 multiples of mackey.linalg.SparseMatrix, for checking brackets and
-conjugating modules, the diagonal of a matrix, for checking weights, the
+conjugating modules, matrices built from entries or a diagonal, and applied
+to dense vectors, the diagonal of a matrix, for checking weights, every
+generator label of a module, coordinates in a subspace's basis and the
 intersection of two subspaces, the dense Fraction elimination that
 mackey.linalg's integer kernel replaced, kept as its reference, the
 Vandermonde rows of the powers of a diagonal matrix, and the p/q text dumps
@@ -71,6 +73,47 @@ def reduce(space: Subspace, v):
         if r[p]:
             add_scaled(r, e, -r[p])
     return r
+
+
+def generator_labels(module) -> list[tuple[int, int]]:
+    """Every generator label (i, j) of gl(N), N the rank of the module."""
+    n = module.rank_n
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def from_entries(dim: int, entries) -> SparseMatrix:
+    """The matrix of (row, col, value) triples, summing duplicates."""
+    cols = {}
+    for i, j, v in entries:
+        col = cols.setdefault(j, {})
+        col[i] = col[i] + v if i in col else v
+    return SparseMatrix(dim, cols)
+
+
+def diagonal_matrix(values) -> SparseMatrix:
+    return SparseMatrix(len(values), {j: {j: v} for j, v in enumerate(values)})
+
+
+def apply(a: SparseMatrix, v) -> list[Fraction]:
+    """a v, for a dense vector v."""
+    out = zero_vec(a.dim)
+    for j, col in a.cols.items():
+        x = v[j]
+        if x:
+            for i, m in col.items():
+                out[i] += m * x
+    return out
+
+
+def coordinates(space: Subspace, v) -> list:
+    """Coefficients in the basis of the subspace of v, dense or a dict
+    {column: value} (where a missing column reads 0); raises if v is not a
+    member."""
+    if not space.contains(v):
+        raise ValueError("vector not in subspace")
+    if type(v) is dict:
+        return [v.get(p, 0) for p in space.pivots]
+    return [v[p] for p in space.pivots]
 
 
 def compose(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from mackey.linalg import (
     SparseMatrix,
     Subspace,
+    full_space,
     nullspace,
     rank,
     rref,
     vec,
 )
 
-from matrix_ops import (compose, dense_nullspace, dense_rref, diagonal, dump_matrix,
-                        format_rational, intersection, reduce, vandermonde_powers)
+from matrix_ops import (apply, compose, coordinates, dense_nullspace, dense_rref, diagonal,
+                        diagonal_matrix, dump_matrix, format_rational, from_entries,
+                        intersection, reduce, vandermonde_powers)
 
 F = Fraction
 
@@ -39,14 +41,14 @@ def test_subspace_membership_and_coordinates():
     assert s.dim == 2
     assert s.contains(vec([3, 3, 5]))
     assert not s.contains(vec([1, 0, 0]))
-    coords = s.coordinates(vec([2, 2, 1]))
+    coords = coordinates(s, vec([2, 2, 1]))
     rebuilt = [F(0)] * 3
     for c, b in zip(coords, s.basis):
         for i, x in enumerate(b):
             rebuilt[i] += c * x
     assert rebuilt == vec([2, 2, 1])
     with pytest.raises(ValueError):
-        s.coordinates(vec([1, 0, 0]))
+        coordinates(s, vec([1, 0, 0]))
 
 
 def test_subspace_sum_and_intersection():
@@ -72,28 +74,28 @@ def test_subspace_from_blocks_is_the_echelon_basis_of_the_sum():
 
 
 def test_dense_rows_of_a_submatrix():
-    m = SparseMatrix.from_entries(3, [(0, 1, F(2)), (2, 1, F(5)), (1, 2, F(-1))])
+    m = from_entries(3, [(0, 1, F(2)), (2, 1, F(5)), (1, 2, F(-1))])
     assert m.to_dense_rows() == [vec([0, 2, 0]), vec([0, 0, -1]), vec([0, 5, 0])]
     assert m.to_dense_rows([2, 0], [1, 2]) == [vec([5, 0]), vec([2, 0])]
     assert m.to_dense_rows([1], [0]) == [vec([0])]
 
 
 def test_sparse_matrix_apply_and_compose():
-    m = SparseMatrix.from_entries(2, [(0, 1, F(2)), (1, 0, F(1))])
-    assert m.apply(vec([1, 1])) == vec([2, 1])
+    m = from_entries(2, [(0, 1, F(2)), (1, 0, F(1))])
+    assert apply(m, vec([1, 1])) == vec([2, 1])
     # the product the tests conjugate with
-    assert compose(m, m) == SparseMatrix.diagonal([2, 2])
+    assert compose(m, m) == diagonal_matrix([2, 2])
 
 
 def test_sparse_matrix_diagonal():
     # the diagonal is read by the tests' own helper, as no code in mackey does
-    d = SparseMatrix.diagonal([1, -2, 0])
+    d = diagonal_matrix([1, -2, 0])
     assert d.to_dense_rows() == [vec([1, 0, 0]), vec([0, -2, 0]), vec([0, 0, 0])]
     # int entries are kept as given
     assert d.cols == {0: {0: 1}, 1: {1: -2}}
     assert all(type(col[j]) is int for j, col in d.cols.items())
     assert diagonal(d) == vec([1, -2, 0])
-    nd = SparseMatrix.from_entries(2, [(0, 1, F(1))])
+    nd = from_entries(2, [(0, 1, F(1))])
     assert diagonal(nd) is None
 
 
@@ -186,8 +188,8 @@ def test_subspace_matches_the_dense_reference(matrix, data):
     member = not any(reduce(space, v))
     assert space.contains(v) == space.contains(sparse(v)) == member
     if member:
-        coords = space.coordinates(v)
-        assert space.coordinates(sparse(v)) == coords
+        coords = coordinates(space, v)
+        assert coordinates(space, sparse(v)) == coords
         rebuilt = [F(0)] * ncols
         for c, b in zip(coords, space.basis):
             for i, x in enumerate(b):
@@ -195,9 +197,73 @@ def test_subspace_matches_the_dense_reference(matrix, data):
         assert rebuilt == v
     else:
         with pytest.raises(ValueError):
-            space.coordinates(v)
+            coordinates(space, v)
         with pytest.raises(ValueError):
-            space.coordinates(sparse(v))
+            coordinates(space, sparse(v))
     other = Subspace(ncols, data.draw(st.lists(st.sampled_from(rows + [v]), max_size=4)))
     assert space.contains_subspace(other) == all(
         not any(reduce(space, b)) for b in other.basis)
+
+
+# --- rows read lazily, and not past full rank -----------------------------------
+
+@st.composite
+def integer_matrices(draw):
+    """(ncols, rows): small integer rows, often more of them than columns, so
+    that a prefix of the rows already spans Q^ncols."""
+    ncols = draw(st.integers(0, 5))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    return ncols, draw(st.lists(row, max_size=9))
+
+
+def as_fractions(rows):
+    return [[F(x) for x in row] for row in rows]
+
+
+@settings(deadline=None)
+@given(integer_matrices())
+def test_lazy_rows_give_the_eager_and_the_dense_results(matrix):
+    ncols, rows = matrix
+    reference = as_fractions(rows)
+    kernel = nullspace(rows, ncols)
+    assert kernel == dense_nullspace(reference, ncols) and all_fractions(kernel)
+    assert nullspace(iter(rows), ncols) == kernel
+    assert nullspace((sparse(row) for row in rows), ncols) == kernel
+    space = Subspace(ncols, rows)
+    assert (space.basis, space.pivots) == dense_rref(reference)
+    assert Subspace(ncols, iter(rows)) == space
+    assert rref(rows) == rref(iter(rows)) == rref(reference) == dense_rref(reference)
+
+
+def spanning_prefix(rows, ncols):
+    """The least k such that the first k rows span Q^ncols, by the dense
+    reference, or None when all of them do not."""
+    for k in range(len(rows) + 1):
+        if len(dense_rref(as_fractions(rows[:k]))[1]) == ncols:
+            return k
+    return None
+
+
+def sentinel(rows, ncols, read):
+    """The rows one at a time, appending each to read, and raising when a
+    row is asked for after those read already span Q^ncols."""
+    for row in rows:
+        if len(dense_rref(as_fractions(read))[1]) == ncols:
+            raise AssertionError(f"row {len(read)} read after the rows spanned Q^{ncols}")
+        read.append(row)
+        yield row
+
+
+@settings(deadline=None)
+@given(integer_matrices(), st.data())
+def test_no_row_is_read_after_the_rows_span_the_space(matrix, data):
+    ncols, rows = matrix
+    # unit rows in some order, then more rows: the span is Q^ncols
+    units = data.draw(st.permutations([[int(i == j) for j in range(ncols)] for i in range(ncols)]))
+    rows = rows + units + rows
+    stop = spanning_prefix(rows, ncols)
+    read = []
+    assert nullspace(sentinel(rows, ncols, read), ncols) == [] and len(read) == stop
+    read = []
+    assert Subspace(ncols, sentinel(rows, ncols, read)) == full_space(ncols)
+    assert len(read) == stop

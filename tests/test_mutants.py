@@ -1,11 +1,13 @@
 """Planted faults, each caught by a named check.
 
-Each row of MUTANTS monkeypatches one fault into the package and runs
-`verify.run_suite("all")` on it, from cold caches: every `functools` cache of
+Each row of MUTANTS monkeypatches one fault into the package and runs every
+check of `verify all` on it, from cold caches: every `functools` cache of
 the package is cleared before the fault goes in and again after it comes out,
 so that no value computed with the fault outlives the row. A row names the
 `verify` checks that must fail; every other check passes the fault, which
-makes the blind spot of `verify` explicit. A row that no `verify` check
+makes the blind spot of `verify` explicit. A check that raises a ValueError,
+as the referee does on what it finds inconsistent, fails: `mackey verify`
+stops there with exit code 2. A row that no `verify` check
 catches is an escape: it names the tier-1 test that catches it instead, and
 the README lists it.
 """
@@ -18,10 +20,15 @@ import pytest
 import test_brute
 import test_socle
 import test_symfunc
-from mackey import brute, socle, symfunc, verify
+from mackey import brute, linalg, socle, symfunc, verify
 from mackey.linalg import SparseMatrix, Subspace
 
 LAYERS = "coproduct layers vs standard tableaux (size <= 10)"
+# every brute check but the mixed one: it reads only contraction ranks, and
+# no weight block there has contraction rows of full column rank
+BRUTE_BUT_MIXED = {"Young projector rank vs Weyl dimension",
+                   "finite-rank socle filtration vs branching", "grade filtration essentiality",
+                   "parabolic constituent counts vs length formula"}
 CONJUGATION = "coproduct commutes with conjugation (size <= 10)"
 # every hopf check but the counit, which reads only the empty tables lam/lam,
 # and the branching identity
@@ -128,6 +135,13 @@ def plain_sign_flipped(n_rank, m, n, weights, label):
     return SparseMatrix._of_cols(dim, cols)
 
 
+def echelon_one_pivot_short():
+    """_echelon that stops reading rows one pivot short of the column count:
+    rows that span Q^n give a span of dimension n - 1."""
+    real = linalg._echelon
+    return lambda rows, ncols: real(rows, ncols - 1)
+
+
 # (row id, module, name, fault factory, verify checks that must fail, the
 # tier-1 test that catches an escape or None)
 MUTANTS = [
@@ -170,7 +184,24 @@ MUTANTS = [
     # escapes verify, which builds the action of no module with plain slots
     ("plain_slot_sign_flipped", brute, "_word_action", lambda: plain_sign_flipped, set(),
      test_brute.test_arithmetic_builder_matches_the_word_by_word_one),
+    # the socle steps stop growing, and an essentiality step is no longer
+    # closed: three of these checks raise ValueError
+    ("echelon_one_pivot_short", linalg, "_echelon", echelon_one_pivot_short,
+     BRUTE_BUT_MIXED, None),
 ]
+
+
+def run_every_check():
+    """The results of the checks of `verify all`, in its order, with its
+    budget and seed; a check that raises a ValueError fails."""
+    results = []
+    for _, title, check in verify.CHECKS:
+        try:
+            results.append(verify._result(title, check(verify.DEFAULT_BUDGET,
+                                                        verify.DEFAULT_SEED)))
+        except ValueError as exc:
+            results.append(verify.CheckResult(title, False, f"raised: {exc}"))
+    return results
 
 
 @pytest.mark.parametrize("module, name, fault, failing, tier1_test",
@@ -180,7 +211,7 @@ def test_a_planted_fault_fails_its_named_checks(module, name, fault, failing, ti
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(module, name, fault())
-            results = verify.run_suite("all")
+            results = run_every_check()
             assert {r.name for r in results if not r.passed} == failing
             if tier1_test is not None:
                 with pytest.raises(AssertionError):
