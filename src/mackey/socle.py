@@ -100,8 +100,9 @@ def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, i
     then beta, then gamma, in partitions_of order. A multiplicity depends
     only on r and the hook counts (f_beta, f_gamma), so each depth computes
     it once per pair of distinct hook counts and shares that one int among
-    the triples of the pair: one row per distinct f_beta over the distinct
-    f_gamma, spread into gamma order by the gather of _hook_classes.
+    the triples of the pair: one row per distinct f_beta, its scale
+    C(p,r) C(q,r) r! f_beta times each distinct f_gamma, spread into gamma
+    order by the gather of _hook_classes.
 
     The cyclic garbage collector is paused while the triples are built and
     the caller's setting restored, also on an exception. The triples hold
@@ -122,7 +123,8 @@ def decompose_mixed_tensor(p: int, q: int) -> list[tuple[Partition, Partition, i
             for beta in partitions_of(p - r):
                 f_beta = syt_count(beta)
                 if f_beta not in rows:
-                    rows[f_beta] = spread([pairings * f_beta * f_gamma for f_gamma in f_gammas])
+                    scale = pairings * f_beta
+                    rows[f_beta] = spread([scale * f_gamma for f_gamma in f_gammas])
                 out.extend(zip(repeat(beta), gammas, rows[f_beta]))
     finally:
         if enabled:

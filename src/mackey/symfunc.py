@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 
 
 class SchurExpr:
@@ -77,10 +76,17 @@ def _skew_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
     in, so each diagram is enumerated once, and all its (outer, inner) share
     one read-only dict. Cached on (outer, inner) too, so that the second
     read of a coefficient through lr_coefficient skips the pass below.
+
+    The key pass reads the rows bottom up by index, inner_i taken as 0 below
+    the last row of inner.
     """
+    cut = len(inner)
+    if cut > len(outer):
+        return {}
     outs, skips = [], []
     gap = reach = 0  # the empty columns so far, and the columns the rows below reach
-    for row, skip in reversed(list(zip_longest(outer, inner, fillvalue=0))):
+    for i in range(len(outer) - 1, -1, -1):
+        row, skip = outer[i], inner[i] if i < cut else 0
         if skip > row:
             return {}
         if row > skip:
@@ -166,19 +172,43 @@ def schur_product(mu: Partition, nu: Partition) -> SchurExpr:
                       for lam in _skew_table(outer, inner)})
 
 
+def _sub_diagrams(lam: Partition, low: int) -> Iterator[Partition]:
+    """The partitions mu contained in lam with |mu| >= low, each once and
+    each the Partition that _shared holds for its parts. mu grows row by
+    row, row i taking 1 to min(lam_i, mu_{i-1}) cells. When row i takes p
+    cells, the rows from i on hold at most min(p (len(lam) - i),
+    p + lam_{i+1} + ...), so row i takes at least the p that lets this
+    bound reach low.
+    """
+    ell = len(lam)
+    rest = [0] * (ell + 1)  # rest[i] = lam_i + ... + lam_{ell-1}
+    for i in range(ell - 1, -1, -1):
+        rest[i] = rest[i + 1] + lam[i]
+    stack = [((), 0)]  # (parts of mu so far, their sum)
+    while stack:
+        parts, size = stack.pop()
+        if size >= low:
+            yield _shared(parts)
+        i = len(parts)
+        if i < ell:
+            cap = parts[-1] if parts and parts[-1] < lam[i] else lam[i]
+            need = low - size
+            fewest = max(1, -(-need // (ell - i)), need - rest[i + 1])
+            stack += [(parts + (p,), size + p) for p in range(fewest, cap + 1)]
+
+
 @cache
 def coproduct(lam: Partition) -> SchurExpr:
     """Delta(s_lam) = sum over mu contained in lam of s_mu (x) s_{lam/mu},
     with the skew expansion read off the nonzero entries of the skew tables
     lam/mu with |mu| >= |nu|, and mirrored onto the rest by
-    c^lam_{mu nu} = c^lam_{nu mu}.
+    c^lam_{mu nu} = c^lam_{nu mu}. Those mu are the sub-diagrams of lam
+    walked by _sub_diagrams; no partition outside lam is looked at.
     """
     out = {}
-    for k in range((lam.size + 1) // 2, lam.size + 1):
-        for mu in partitions_of(k):
-            if lam.contains(mu):
-                for nu in _skew_table(lam, mu):
-                    out[(mu, nu)] = out[(nu, mu)] = lr_coefficient(lam, mu, nu)
+    for mu in _sub_diagrams(lam, (lam.size + 1) // 2):
+        for nu in _skew_table(lam, mu):
+            out[(mu, nu)] = out[(nu, mu)] = lr_coefficient(lam, mu, nu)
     return SchurExpr(out)
 
 

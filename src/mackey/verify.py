@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import brute, socle, symfunc
-from .brute import DEFAULT_BUDGET
+from .brute import DEFAULT_BUDGET, BudgetExceededError
 from .linalg import SparseMatrix, Subspace, full_space, vec
 from .partitions import (EMPTY, Partition, dim_mixed, dim_schur, partitions_of, partitions_up_to,
                          syt_count)
@@ -43,8 +43,15 @@ Outcomes = Iterator[str | None]
 
 def _result(name: str, outcomes: Outcomes) -> CheckResult:
     """Run one check: each outcome is one case, None when it passes,
-    otherwise its failure line."""
-    cases = list(outcomes)
+    otherwise its failure line. A check that raises a ValueError, as the
+    referee does on a module it finds inconsistent, fails with that message;
+    a budget refusal is not a result and propagates."""
+    try:
+        cases = list(outcomes)
+    except BudgetExceededError:
+        raise
+    except ValueError as exc:
+        return CheckResult(name, False, f"raised: {exc}")
     failures = [case for case in cases if case is not None]
     if failures:
         return CheckResult(name, False,

@@ -309,6 +309,24 @@ def test_a_failing_check_reports_its_count_and_first_case(capsys, monkeypatch):
     assert err == "1 of 1 checks failed\n"
 
 
+def test_a_check_that_raises_fails_and_every_check_still_prints(capsys, monkeypatch):
+    # as the referee raises on a module it finds inconsistent, after one case
+    def raising(budget, seed):
+        yield None
+        raise ValueError("module is not closed under the parabolic action")
+
+    suite, title, _ = verify.CHECKS[9]
+    checks = list(verify.CHECKS)
+    checks[9] = (suite, title, raising)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    code, out, err = run_cli(capsys, "verify", "all")
+    assert code == 1
+    golden = (GOLDEN / "verify_all.txt").read_text().splitlines(keepends=True)
+    golden[9] = f"[FAIL] {title}: raised: module is not closed under the parabolic action\n"
+    assert out == "".join(golden)
+    assert err == f"1 of {len(checks)} checks failed\n"
+
+
 def test_verify_respects_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("SOCLE_BUDGET", "2")
     code, _, err = run_cli(capsys, "verify", "brute")

@@ -149,11 +149,45 @@ def _full_probe_coproduct(lam):
     return SchurExpr(out)
 
 
+def _scan_coproduct(lam):
+    """Delta(s_lam) by the route coproduct took before it walked the
+    sub-diagrams: every mu of each size k >= ceil(|lam|/2) tested against
+    lam, each table read through lr_coefficient and mirrored."""
+    out = {}
+    for k in range((lam.size + 1) // 2, lam.size + 1):
+        for mu in partitions_of(k):
+            if lam.contains(mu):
+                for nu in symfunc._skew_table(lam, mu):
+                    out[(mu, nu)] = out[(nu, mu)] = lr_coefficient(lam, mu, nu)
+    return out
+
+
 def test_coproduct_matches_the_full_probe():
     for lam in partitions_up_to(12):
         reference = _full_probe_coproduct(lam)
         assert coproduct(lam) == reference, lam
         assert list(coproduct(lam)) == list(reference), lam
+        assert coproduct(lam).terms == _scan_coproduct(lam), lam
+
+
+def test_sub_diagrams_are_the_partitions_inside_lam_of_each_size():
+    for lam in partitions_up_to(14):
+        inside = sorted(mu for mu in partitions_up_to(lam.size) if lam.contains(mu))
+        for low in range(lam.size + 2):
+            walked = list(symfunc._sub_diagrams(lam, low))
+            assert sorted(walked) == [mu for mu in inside if mu.size >= low], (lam, low)
+            assert all(type(mu) is Partition and mu is symfunc._shared(mu) for mu in walked)
+
+
+def test_coproduct_tests_no_partition_against_lam(monkeypatch):
+    def refused(self, other):
+        raise AssertionError(f"{self}.contains({other}) called")
+
+    coproduct.cache_clear()
+    monkeypatch.setattr(Partition, "contains", refused)
+    for lam in partitions_up_to(8):
+        coproduct(lam)
+    assert not hasattr(symfunc, "partitions_of")
 
 
 def test_each_coproduct_layer_splits_the_standard_tableaux():
@@ -267,6 +301,37 @@ def test_skew_tables_match_the_reference_enumerator_in_order():
     for outer, inner in _reference_grid():
         assert list(symfunc._skew_table(outer, inner).items()) == \
             list(_reference_skew_table(outer, inner).items()), (outer, inner)
+
+
+def _zip_longest_skew_table(outer, inner):
+    """The key pass of _skew_table as it read the rows before, bottom up
+    over zip_longest of outer and inner, on the same _diagram_table."""
+    outs, skips = [], []
+    gap = reach = 0
+    for row, skip in reversed(list(zip_longest(outer, inner, fillvalue=0))):
+        if skip > row:
+            return {}
+        if row > skip:
+            if skip > reach:
+                gap += skip - reach
+            outs.append(row - gap)
+            skips.append(skip - gap)
+            reach = row
+    return symfunc._diagram_table(tuple(outs[::-1]), tuple(skips[::-1]))
+
+
+def test_skew_table_keys_match_the_zip_longest_pass():
+    # the grid holds inners not in outer: wider in one row, as 3 against
+    # 2,1, and with more rows, as 1,1 against 1
+    shapes = list(partitions_up_to(8))
+    for outer in shapes:
+        for inner in shapes:
+            reference = _zip_longest_skew_table(outer, inner)
+            table = symfunc._skew_table(outer, inner)
+            if reference:
+                assert table is reference, (outer, inner)
+            else:
+                assert table == {} and not outer.contains(inner), (outer, inner)
 
 
 def test_skew_tables_of_one_diagram_are_one_table():
