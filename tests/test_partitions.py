@@ -51,22 +51,53 @@ def test_normalization_strips_zeros():
     assert Partition([3, 1, 0, 0]) == Partition([3, 1])
     assert Partition([0, 0]) == EMPTY
     assert Partition([3, 1]).parts == (3, 1)
+    assert Partition((2, 2, 0)).parts == (2, 2) and len(Partition((1, 0))) == 1
+    assert type(Partition([0])) is Partition and Partition([0]) == ()
+
+
+def test_a_generator_is_read_once():
+    reads = []
+
+    def parts():
+        for p in (3, 2, 2, 0):
+            reads.append(p)
+            yield p
+
+    assert Partition(parts()) == (3, 2, 2) and reads == [3, 2, 2, 0]
+
+
+def test_an_int_subclass_is_a_part():
+    class Part(int):
+        pass
+
+    lam = Partition([Part(3), 2, Part(2), Part(0)])
+    assert lam == (3, 2, 2) and type(lam) is Partition
+    assert Partition(Part(k) for k in (2, 1)) == (2, 1)
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)$"):
+        Partition([Part(1), Part(2)])
 
 
 def test_rejects_bad_parts():
     with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)$"):
         Partition([1, 2])
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)$"):
+        Partition((1, 2))
     # a generator is read once, and the message names the parts it gave
     with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)$"):
         Partition(x for x in [1, 2])
-    with pytest.raises(ValueError):
+    # the message names the parts as given, zeros included
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 0, 2\)$"):
+        Partition([1, 0, 2])
+    with pytest.raises(ValueError, match=r"^partition parts must be nonnegative, got -1$"):
         Partition([2, -1])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^partition parts must be integers, got 1\.5$"):
         Partition([1.5])
+    with pytest.raises(TypeError, match=r"^partition parts must be integers, got 2\.0$"):
+        Partition([3, 2.0])
     # bool is a subclass of int, but True is not a part
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^partition parts must be integers, got True$"):
         Partition([True])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^partition parts must be integers, got False$"):
         Partition([2, False])
 
 

@@ -1,11 +1,21 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mackey import symfunc, verify
-from mackey.partitions import EMPTY, Partition, partitions_of, partitions_up_to, syt_count
+from mackey.partitions import (
+    EMPTY,
+    Partition,
+    format_partition,
+    partitions_of,
+    partitions_up_to,
+    syt_count,
+)
 from mackey.symfunc import (
     SchurExpr,
     coproduct,
@@ -274,15 +284,17 @@ def _reference_skew_table(outer, inner):
 
 def _reference_grid():
     """(outer, inner) pairs: every outer of size at most 10 with every inner
-    it contains; mu and nu of total size at most 10 placed corner to corner,
-    as schur_product places them; and the tables lam/mu with
-    |mu| >= ceil(|lam|/2) of every lam of size 13 and 14, the ones the
-    coproduct builds there."""
+    it contains; every straight shape lam/() of size at most 12; mu and nu of
+    total size at most 14 placed corner to corner, as schur_product places
+    them; and the tables lam/mu with |mu| >= ceil(|lam|/2) of every lam of
+    size 13 and 14, the ones the coproduct builds there."""
     for lam in partitions_up_to(10):
         for mu in partitions_up_to(lam.size):
             if lam.contains(mu):
                 yield lam, mu
-    for total in range(11):
+    for lam in partitions_up_to(12):
+        yield lam, EMPTY
+    for total in range(15):
         for k in range(total + 1):
             for mu in partitions_of(k):
                 for nu in partitions_of(total - k):
@@ -499,3 +511,36 @@ def test_expr_iterates_by_degree_then_parts_on_either_key():
 def test_expr_drops_zero_coefficients():
     assert SchurExpr({P([1]): 0}) == SchurExpr()
     assert len(SchurExpr({(P([1]), EMPTY): 0})) == 0
+    assert SchurExpr({P([2]): 3, P([1, 1]): 0}).terms == {P([2]): 3}
+    assert SchurExpr([(P([2]), 0), (P([1]), 2)]).terms == {P([1]): 2}
+
+
+def test_expr_keeps_its_own_copy_of_a_dict():
+    terms = {P([2]): 1, P([1, 1]): 2}
+    expr = SchurExpr(terms)
+    assert expr.terms == terms and expr.terms is not terms
+    terms[P([3])] = 4
+    assert expr.terms == {P([2]): 1, P([1, 1]): 2}
+
+
+def test_shared_partitions_are_validated():
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)$"):
+        symfunc._shared((1, 2))
+    assert symfunc._shared((2, 1, 0)) == (2, 1) and type(symfunc._shared((2, 1))) is Partition
+
+
+SCHUR_PRODUCTS_16 = Path(__file__).parent / "golden" / "schur_products_16.sha256"
+
+
+def test_schur_products_of_degree_16_are_pinned():
+    # every pair of the product workload's degree 16: one
+    # "mu|nu|lam:c lam:c ..." line per pair, the terms in SchurExpr order
+    lines = []
+    for k in range(2, 9):
+        for nu in partitions_of(k):
+            for mu in partitions_of(16 - k):
+                terms = " ".join(f"{format_partition(lam)}:{c}" for lam, c in schur_product(mu, nu))
+                lines.append(f"{format_partition(mu)}|{format_partition(nu)}|{terms}\n")
+    assert len(lines) == 2746
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == SCHUR_PRODUCTS_16.read_text().split()[0]
