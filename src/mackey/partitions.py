@@ -8,6 +8,7 @@ partitions are tuples, normalized on construction.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import cache
 from math import comb, factorial
@@ -23,12 +24,23 @@ class Partition(tuple):
     stripped on construction so each partition has a unique representative.
     It indexes, slices and compares as that tuple; ``parts`` is the plain
     tuple itself.
+
+    Every input is validated. Plain ints, weakly decreasing and positive,
+    are the common case and are checked by C loops over the tuple; any other
+    input (zeros to strip, an int subclass, a bad part or order) is read part
+    by part and raises the same errors.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts, ps = tuple(parts), []  # read once: a generator is consumed
+        parts = tuple(parts)  # read once: a generator is consumed
+        # the common case, plain ints weakly decreasing and positive, is
+        # checked by C loops; every other input is read part by part
+        if (parts and {int}.issuperset(map(type, parts)) and parts[-1] > 0
+                and all(map(operator.ge, parts, parts[1:]))):
+            return super().__new__(cls, parts)
+        ps = []
         for p in parts:
             if isinstance(p, bool) or not isinstance(p, int):
                 raise TypeError(f"partition parts must be integers, got {p!r}")

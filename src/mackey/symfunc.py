@@ -30,8 +30,11 @@ class SchurExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | Iterable[tuple] = ()):
-        items = terms.items() if isinstance(terms, dict) else dict(terms).items()
-        self.terms = {key: c for key, c in items if c}
+        if isinstance(terms, dict) and 0 not in terms.values():
+            self.terms = dict(terms)
+        else:
+            items = terms.items() if isinstance(terms, dict) else dict(terms).items()
+            self.terms = {key: c for key, c in items if c}
 
     def coefficient(self, key: Partition | tuple[Partition, Partition]) -> int:
         return self.terms.get(key, 0)
@@ -114,43 +117,70 @@ def _diagram_table(outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[Parti
     cell right of a position is the one before it, except in a row's last
     column; the cell above (i, j) is at end_{i-1} - j when i > 0 and
     j >= inner_{i-1}.
+
+    The top rows that start in row 0's column, each no wider than the one
+    above, form a straight shape with one LR filling, the letter i + 1 in
+    all of row i: each cell of row i has a cell above it, so reading the row
+    right to left, above + 1 is the only letter that keeps the word a
+    lattice word, and the row is weak. Those cells are filled at once and
+    the search starts at the first cell below them; a diagram that is all
+    top has the one content of its rows. The search closes each tableau at
+    the last cell, tallying every entry allowed there with no step past it.
+    The tally is keyed on the tuple of the letter counts, one C call per
+    tableau, and each distinct key is cut to its content once, when the
+    table is built.
     """
     top, n = len(outer), sum(outer) - sum(inner)
-    # each cell's filled neighbours by position; a missing one points past
-    # the cells, at the bound top on the right or at 0 above
+    # the forced top: its row lengths, and the cells they take
+    t = 1 if top else 0
+    while t < top and inner[t] == inner[0] and outer[t] <= outer[t - 1]:
+        t += 1
+    rows = [row - inner[0] for row in outer[:t]]
+    first = sum(rows)
+    if first == n:
+        return {_shared(tuple(rows)): 1}
+    # each cell's filled neighbours by position, from row t on; a missing one
+    # points past the cells, at the bound top on the right or at 0 above
     right, above = list(range(-1, n - 1)), [n + 1] * n
-    # end_{i-1} and inner_{i-1}; with no empty column the diagram is at most
-    # n wide, so no column has a cell above row 0
-    start, up_end, up_skip = 0, 0, n
-    for row, skip in zip(outer, inner):
+    # start_i, end_{i-1} and inner_{i-1} at i = t
+    start, up_end, up_skip = first, first + inner[0] - 1, inner[0]
+    for row, skip in zip(outer[t:], inner[t:]):
         right[start] = n
         mid = skip if skip > up_skip else up_skip  # the columns from mid on have a cell above
         if row > mid:
             above[start:start + row - mid] = range(up_end - row + 1, up_end - mid + 1)
         up_end, up_skip = start + row - 1, skip
         start += row - skip
-    fill = [0] * n + [top, 0]  # the entry last tried at each cell, then the two bounds
-    counts = [n + 1] + [0] * (top + 1)  # letter counts between two sentinels
+    # the entry last tried at each cell, then the two bounds; the top's
+    # entries are in place
+    fill = [letter for letter, length in enumerate(rows, 1) for _ in range(length)]
+    fill += [0] * (n - first) + [top, 0]
+    counts = [n + 1] + rows + [0] * (top + 1 - t)  # letter counts between two sentinels
     tally: dict[tuple[int, ...], int] = {}
-    pos = 0
-    while pos >= 0:
-        if pos == n:  # a whole tableau
-            content = tuple(counts[1:counts.index(0, 1)])
-            tally[content] = tally.get(content, 0) + 1
+    last = n - 1
+    pos = first
+    fill[pos] = fill[above[pos]]
+    while pos >= first:
+        e, hi = fill[pos] + 1, fill[right[pos]]
+        if pos == last:  # a whole tableau for each entry allowed here
+            for e in range(e, hi + 1):
+                if counts[e] < counts[e - 1]:
+                    counts[e] += 1
+                    key = tuple(counts)
+                    tally[key] = tally.get(key, 0) + 1
+                    counts[e] -= 1
         else:
-            e, hi = fill[pos] + 1, fill[right[pos]]
             while e <= hi and counts[e] >= counts[e - 1]:
                 e += 1
             if e <= hi:  # place e, and start the next cell below its bound
                 fill[pos] = e
                 counts[e] += 1
                 pos += 1
-                if pos < n:
-                    fill[pos] = fill[above[pos]]
+                fill[pos] = fill[above[pos]]
                 continue
-        pos -= 1  # back to the previous cell, taking its entry out
-        counts[fill[pos]] -= 1  # at pos -1, fill[-1] is 0: only the sentinel moves
-    return {_shared(content): c for content, c in tally.items()}
+        pos -= 1  # back to the previous cell, taking its entry out; out of
+        counts[fill[pos]] -= 1  # first, this ends the search
+    return {_shared(key[1:key.index(0, 1)]): c for key, c in tally.items()}
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -203,12 +233,16 @@ def coproduct(lam: Partition) -> SchurExpr:
     with the skew expansion read off the nonzero entries of the skew tables
     lam/mu with |mu| >= |nu|, and mirrored onto the rest by
     c^lam_{mu nu} = c^lam_{nu mu}. Those mu are the sub-diagrams of lam
-    walked by _sub_diagrams; no partition outside lam is looked at.
+    walked by _sub_diagrams; no partition outside lam is looked at. A pair
+    with |mu| = |nu| lies in both tables lam/mu and lam/nu; it is read from
+    the table of the lesser of the two, in tuple order, once.
     """
     out = {}
     for mu in _sub_diagrams(lam, (lam.size + 1) // 2):
+        middle = 2 * mu.size == lam.size
         for nu in _skew_table(lam, mu):
-            out[(mu, nu)] = out[(nu, mu)] = lr_coefficient(lam, mu, nu)
+            if not middle or nu >= mu:
+                out[(mu, nu)] = out[(nu, mu)] = lr_coefficient(lam, mu, nu)
     return SchurExpr(out)
 
 

@@ -180,6 +180,23 @@ def test_coproduct_matches_the_full_probe():
         assert coproduct(lam).terms == _scan_coproduct(lam), lam
 
 
+def test_a_cold_coproduct_reads_each_pair_once(monkeypatch):
+    # a middle pair, |mu| = |nu|, lies in the tables lam/mu and lam/nu and is
+    # read from one of them
+    reads, real = [], symfunc.lr_coefficient
+
+    def counted(lam, mu, nu):
+        reads.append((lam, frozenset((mu, nu))))
+        return real(lam, mu, nu)
+
+    coproduct.cache_clear()
+    monkeypatch.setattr(symfunc, "lr_coefficient", counted)
+    for lam in partitions_up_to(10):
+        expr = coproduct(lam)
+        assert len(reads) == len(set(reads)) == len({frozenset(pair) for pair in expr.terms}), lam
+        reads.clear()
+
+
 def test_sub_diagrams_are_the_partitions_inside_lam_of_each_size():
     for lam in partitions_up_to(14):
         inside = sorted(mu for mu in partitions_up_to(lam.size) if lam.contains(mu))
